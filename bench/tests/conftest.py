@@ -1,0 +1,7 @@
+"""Make the benchmark modules and the library importable for the tests."""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(BENCH_DIR.parent / "src"), str(BENCH_DIR)]
