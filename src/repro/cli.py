@@ -58,7 +58,7 @@ from repro.io import (
     save_sparse_problem,
     save_tweets,
 )
-from repro.observability import hit_rate, profile_stage
+from repro.observability import profile_stage
 from repro.parallel import ParallelConfig
 from repro.resilience.supervisor import Deadline, parse_timespan
 from repro.serve import (
@@ -621,7 +621,7 @@ def _run_observed(handler, args) -> int:
     With none of ``--trace-out`` / ``--metrics-out`` / ``--profile-out``
     given the handler runs exactly as before (no session installed, so
     every instrumentation point stays on its no-op path).  Outputs are
-    written only after the handler returns, and the digest goes to
+    written only after the handler returns, and the notices go to
     stderr so stdout stays machine-readable.
     """
     trace_out = getattr(args, "trace_out", None)
@@ -637,12 +637,7 @@ def _run_observed(handler, args) -> int:
         print(f"wrote trace to {trace_out}", file=sys.stderr)
     if metrics_out is not None:
         session.write_metrics(metrics_out)
-        rate = hit_rate(session.metrics.snapshot())
-        print(
-            f"wrote metrics to {metrics_out} "
-            f"(params-cache hit rate {rate:.1%})",
-            file=sys.stderr,
-        )
+        print(f"wrote metrics to {metrics_out}", file=sys.stderr)
     if profile_out is not None:
         print(f"wrote profile to {profile_out}", file=sys.stderr)
     return code

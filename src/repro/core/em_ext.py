@@ -36,10 +36,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import observability
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
 from repro.core.result import EstimationResult
 from repro.data.coerce import coerce_problem
@@ -47,8 +48,9 @@ from repro.data.protocol import FORMAT_CSR, FORMAT_DENSE, Problem
 from repro.engine.backends import CSRBackend, DenseBackend, make_backend
 from repro.engine.driver import EMDriver, IterationCallback
 from repro.engine.initialisation import staged_initialisation, support_initialisation
+from repro.parallel.merge import replay_events
 from repro.utils.errors import ValidationError
-from repro.utils.rng import RandomState, SeedLike
+from repro.utils.rng import RandomState, SeedLike, spawn_rngs
 from repro.utils.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -114,12 +116,16 @@ class EMConfig:
 
         * ``"serial"`` (default) — one full EM run per restart, in
           sequence; the historical reference path.
-        * ``"batched"`` — stack all restarts of a dense problem into
-          the lanes of one :class:`~repro.engine.batched.BatchedDenseBackend`
-          tensor program and run them in lock-step, retiring converged
-          lanes as they finish.  Bit-for-bit the same selected fixed
-          point, several times faster at Fig. 7 sizes once ``n_restarts``
-          reaches ~8.  Non-dense backends fall back to serial.
+        * ``"batched"`` — run all restarts of a dense problem as the
+          lanes of one :class:`~repro.engine.batched.BatchedDenseBackend`
+          tensor program, on the same lane planner as
+          :func:`fit_em_ext_batch`, retiring converged lanes as they
+          finish.  Bit-for-bit the same selected fixed point, several
+          times faster at Fig. 7 sizes once ``n_restarts`` reaches ~8.
+          As in :func:`fit_em_ext_batch`, callbacks see the events only
+          after the batch finishes (an early-stop request cannot reach
+          a lane) and a wall budget cuts the whole batch at once.  A
+          problem that stays CSR, or a single restart, runs serially.
     """
 
     max_iterations: int = 200
@@ -218,6 +224,11 @@ class EMExtEstimator:
             else (FORMAT_DENSE, FORMAT_CSR)
         )
         problem = coerce_problem(problem, needs=needs)
+        if self.config.restart_mode == "batched" and self.config.n_restarts > 1:
+            if problem.format == FORMAT_DENSE:
+                return self._fit_lanes(problem)
+            # Lanes need dense data; a CSR problem runs serially, visibly.
+            observability.count("engine.batched.fallbacks")
         backend = make_backend(
             problem,
             smoothing=self.config.smoothing,
@@ -238,6 +249,21 @@ class EMExtEstimator:
         )
 
     # -- internals ---------------------------------------------------------------
+
+    def _fit_lanes(self, problem: Problem) -> EstimationResult:
+        """All restarts as lanes of one batched pass (the shared planner)."""
+        ((result, events, error),) = _batch_lane_outcomes(
+            [problem],
+            [self._seed],
+            self.config,
+            initial_parameters=[self.initial_parameters],
+            collect_events=bool(self.callbacks),
+        )
+        if events:
+            replay_events(events, self.callbacks)
+        if error is not None:
+            raise error
+        return result
 
     def _initialiser(self, backend: "Union[DenseBackend, CSRBackend]"):
         """Restart ``index`` → starting parameters (driver protocol)."""
@@ -270,6 +296,28 @@ class EMExtEstimator:
         return backend.random_params(rng)
 
 
+def _prepare_restarts(
+    initialiser: Callable[[int, np.random.Generator], object],
+    rng: RandomState,
+    n_restarts: int,
+) -> Tuple[List[Tuple[int, object]], Dict[int, str]]:
+    """Run all of a problem's restart initialisers up front, in serial order.
+
+    Warm starts consume the spawned restart generators exactly as
+    :meth:`EMDriver.fit`'s loop does, so lane starting points are
+    bit-for-bit serial.  Initialiser exceptions become per-restart
+    error strings, as in the driver's loop.
+    """
+    prepared: List[Tuple[int, object]] = []
+    init_errors: Dict[int, str] = {}
+    for index, restart_rng in enumerate(spawn_rngs(rng, n_restarts)):
+        try:
+            prepared.append((index, initialiser(index, restart_rng)))
+        except Exception as error:
+            init_errors[index] = f"{type(error).__name__}: {error}"
+    return prepared, init_errors
+
+
 def _batch_lane_outcomes(
     problems: Sequence[Problem],
     seeds: Sequence[SeedLike],
@@ -281,9 +329,10 @@ def _batch_lane_outcomes(
 ) -> List[Tuple[Optional[EstimationResult], list, Optional[Exception]]]:
     """One ``(result, events, error)`` triple per problem, lane-batched.
 
-    The shared machinery behind :func:`fit_em_ext_batch` and the
-    harness's ``trial_mode="batched"``: every problem's restarts become
-    lanes of one stacked tensor pass
+    The lane planner behind :func:`fit_em_ext_batch`,
+    ``EMConfig(restart_mode="batched")``, the harness's
+    ``trial_mode="batched"`` and the serving layer: every problem's
+    restarts become lanes of one stacked tensor pass
     (:class:`~repro.engine.batched.BatchedDenseBackend`), and each
     problem's lanes are then fed through the driver's selection path
     (:meth:`~repro.engine.driver.EMDriver.consume_candidates`) — so the
@@ -299,7 +348,8 @@ def _batch_lane_outcomes(
     batched pass's wall time.  ``config.max_wall_seconds``, when set,
     budgets the *whole* batch — lanes share each pass's wall clock, so
     a per-problem budget is not separable (timing budgets were never
-    bitwise-reproducible anyway).
+    bitwise-reproducible anyway).  Its clock starts on entry, as in
+    :meth:`EMDriver.fit`, so initialiser time counts against it.
 
     ``initial_parameters``, when given, supplies one optional warm
     start per problem: entry ``t`` plays the role of
@@ -321,6 +371,11 @@ def _batch_lane_outcomes(
             f"{len(problems)} problems but {len(initial_parameters)} "
             "initial parameter sets"
         )
+    deadline = (
+        time.perf_counter() + config.max_wall_seconds
+        if config.max_wall_seconds is not None
+        else None
+    )
     driver = EMDriver.from_config(config)
     lane_backends: List[DenseBackend] = []
     lane_params: List[SourceParameters] = []
@@ -351,8 +406,10 @@ def _batch_lane_outcomes(
             )
             # Warm starts consume the spawned restart generators in
             # serial order, exactly as EMDriver.fit would.
-            prepared, init_errors = driver._prepare_restarts(
-                estimator._initialiser(backend), RandomState(seed)
+            prepared, init_errors = _prepare_restarts(
+                estimator._initialiser(backend),
+                RandomState(seed),
+                config.n_restarts,
             )
         except Exception as error:
             staged.append(((), {}, error))
@@ -361,11 +418,6 @@ def _batch_lane_outcomes(
         for _, params in prepared:
             lane_backends.append(backend)
             lane_params.append(params)
-    deadline = (
-        time.perf_counter() + config.max_wall_seconds
-        if config.max_wall_seconds is not None
-        else None
-    )
     lanes = (
         run_batched_lanes(
             BatchedDenseBackend.from_backends(lane_backends),
@@ -452,7 +504,7 @@ def fit_em_ext_batch(
     after the batch completes, in problem-then-restart order; the
     events carry the scalar run's deltas and log-likelihoods but the
     shared pass's wall time, and an early-stop request cannot reach an
-    already-finished lane (as on the driver's parallel path).
+    already-finished lane.
     """
     config = config or EMConfig()
     outcomes = _batch_lane_outcomes(
@@ -466,8 +518,6 @@ def fit_em_ext_batch(
     results: List[EstimationResult] = []
     for result, events, error in outcomes:
         if callbacks and events:
-            from repro.parallel.merge import replay_events
-
             replay_events(events, callbacks)
         if error is not None:
             raise error

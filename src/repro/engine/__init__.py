@@ -22,15 +22,12 @@ package is the single implementation they all delegate to:
   per-iteration telemetry callbacks (:class:`IterationEvent`,
   :class:`TelemetryRecorder`).
 
-Every future performance PR (batched multi-problem fitting, numba or
-multiprocessing backends) lands here, behind the same backend
-protocol, and all four public estimators pick it up for free.  The
-first such layer is process-based restart fan-out: hand
-:class:`~repro.parallel.ParallelConfig` to :class:`EMDriver` (or
-``EMDriver.from_config(..., parallel=...)``) and independent restarts
-run across worker processes with bit-for-bit serial parity (the
-initialisers consume the spawned restart generators in the parent, in
-serial order).
+* :mod:`repro.engine.batched` — the lane engine: many same-shape EM
+  runs as one ``(B, n, m)`` tensor pass (:class:`BatchedDenseBackend`,
+  :func:`run_batched_lanes`), bit-for-bit each lane's serial run.  Its
+  one front end is the lane planner behind
+  :func:`repro.core.fit_em_ext_batch`, batched restarts, harness trial
+  packs and the serving layer.
 """
 
 from repro.engine.backends import (

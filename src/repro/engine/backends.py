@@ -25,15 +25,13 @@ All three route their hot paths through :mod:`repro.kernels`:
 
 * masked claim products (``SC⊙(1-D)``, ``SC⊙D``, ``SC⊙mask``) are
   precomputed once at construction instead of once per M-step;
-* log-parameter tables are built once per θ object and cached by
-  identity (θ is immutable and fresh each M-step, so the cache can
-  never go stale — see :mod:`repro.kernels.tables`);
+* log-parameter tables are built once per θ (see
+  :mod:`repro.kernels.tables`) and one likelihood pass feeds both the
+  posterior and the log likelihood of an ``e_step``;
 * per-column log-likelihoods are computed by the select-based kernels
   of :mod:`repro.kernels.likelihood`, over the *unique* ``(SC, D)``
   column pairs when the problem repeats columns
-  (:mod:`repro.kernels.dedup`), and cached per θ so an ``e_step``
-  immediately following a ``posterior`` with the same θ reuses one
-  likelihood pass.
+  (:mod:`repro.kernels.dedup`).
 
 Every transformation is an exact selection or a reordering-free reuse
 on the 0/1 matrices, so the backends remain bit-for-bit compatible
@@ -67,11 +65,7 @@ from repro.kernels.likelihood import (
     coded_masked_column_log_likelihoods,
     flat_claim_codes,
 )
-from repro.kernels.tables import (
-    IndependenceLogTables,
-    LogParameterTables,
-    ParamsKeyedCache,
-)
+from repro.kernels.tables import IndependenceLogTables, LogParameterTables
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_probability
 
@@ -79,7 +73,6 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.baselines.em_independent import IndependentParameters
     from repro.data.csr import CsrProblem
     from repro.data.protocol import Problem
-    from repro.engine.batched import BatchedDenseBackend
 
 
 def _check_rates_finite(
@@ -160,6 +153,24 @@ def _masked_partition_ratio(
     )
 
 
+def _masked_legacy_log_likelihoods(
+    sc: np.ndarray, mask: np.ndarray, tables: IndependenceLogTables
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Independence-model column log likelihoods by multiply-add.
+
+    The careful fallback for non-finite tables (unclamped rates exactly
+    0 or 1), where the select-based gather cannot stand in for the
+    products: ``mask * (SC·log r + (1-SC)·log(1-r))`` summed per column.
+    """
+    log_true = mask * (
+        sc * tables.log_t[:, None] + (1 - sc) * tables.log_1t[:, None]
+    )
+    log_false = mask * (
+        sc * tables.log_b[:, None] + (1 - sc) * tables.log_1b[:, None]
+    )
+    return log_true.sum(axis=0), log_false.sum(axis=0)
+
+
 def _paired_groups(
     top: np.ndarray, bottom: np.ndarray
 ) -> Tuple[Optional[ColumnGroups], np.ndarray, np.ndarray]:
@@ -205,7 +216,6 @@ class DenseBackend:
         self._masked_codes = flat_claim_codes(
             sc_cols, ~np.asarray(dep_cols, dtype=bool)
         )
-        self._columns_cache = ParamsKeyedCache()
 
     @property
     def n_sources(self) -> int:
@@ -270,21 +280,17 @@ class DenseBackend:
     def _column_log_likelihoods(
         self, params: SourceParameters
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column log likelihoods, table-cached and column-deduped."""
-
-        def compute() -> Tuple[np.ndarray, np.ndarray]:
-            tables = LogParameterTables.build(params)
-            if not tables.finite:
-                # Unclamped degenerate θ: careful legacy path.
-                return column_log_likelihoods(self.sc, self.dep, params)
-            log_true, log_false = coded_dense_column_log_likelihoods(
-                self._codes, tables
-            )
-            if self._groups is not None:
-                return self._groups.expand(log_true), self._groups.expand(log_false)
-            return log_true, log_false
-
-        return self._columns_cache.get(params, compute)
+        """Per-column log likelihoods over the deduplicated columns."""
+        tables = LogParameterTables.build(params)
+        if not tables.finite:
+            # Unclamped degenerate θ: careful legacy path.
+            return column_log_likelihoods(self.sc, self.dep, params)
+        log_true, log_false = coded_dense_column_log_likelihoods(
+            self._codes, tables
+        )
+        if self._groups is not None:
+            return self._groups.expand(log_true), self._groups.expand(log_false)
+        return log_true, log_false
 
     def posterior(self, params: SourceParameters) -> np.ndarray:
         """Equation (9) truth posterior for every assertion."""
@@ -304,19 +310,6 @@ class DenseBackend:
             posterior_from_log_likelihoods(log_true, log_false, params.z),
             log_likelihood_from_log_columns(log_true, log_false, params.z),
         )
-
-    def batched_lanes(self, n_lanes: int) -> "BatchedDenseBackend":
-        """A batched twin running ``n_lanes`` restarts of *this* problem.
-
-        The lanes share this backend's claim/dependency matrices as
-        broadcast ``(1, n, m)`` views (no copies); see
-        :class:`repro.engine.batched.BatchedDenseBackend`.  The presence
-        of this method is the driver's capability probe for
-        ``restart_mode="batched"``.
-        """
-        from repro.engine.batched import BatchedDenseBackend
-
-        return BatchedDenseBackend.from_backend(self, n_lanes)
 
     def partition_counts(
         self, posterior: np.ndarray
@@ -354,27 +347,13 @@ class DenseBackend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Column log likelihoods of the independence model, masked to independent cells."""
         tables = IndependenceLogTables.build(t_rate, b_rate)
-        if tables.finite:
-            log_true, log_false = coded_masked_column_log_likelihoods(
-                self._masked_codes, tables
-            )
-            if self._groups is not None:
-                return self._groups.expand(log_true), self._groups.expand(log_false)
-            return log_true, log_false
-        log_true = (
-            self.indep
-            * (
-                self.sc * np.log(t_rate)[:, None]
-                + (1 - self.sc) * np.log1p(-t_rate)[:, None]
-            )
-        ).sum(axis=0)
-        log_false = (
-            self.indep
-            * (
-                self.sc * np.log(b_rate)[:, None]
-                + (1 - self.sc) * np.log1p(-b_rate)[:, None]
-            )
-        ).sum(axis=0)
+        if not tables.finite:
+            return _masked_legacy_log_likelihoods(self.sc, self.indep, tables)
+        log_true, log_false = coded_masked_column_log_likelihoods(
+            self._masked_codes, tables
+        )
+        if self._groups is not None:
+            return self._groups.expand(log_true), self._groups.expand(log_false)
         return log_true, log_false
 
 
@@ -398,9 +377,8 @@ class CSRBackend:
             = \\frac{(SC - SC \\odot D)\\, Z}{\\sum_j Z_j - D\\, Z}
 
     which again touch only stored entries.  The two ``D @ weight``
-    products are computed once per M-step (they feed two ratios each),
-    log-parameter tables once per θ, and the per-column log-likelihoods
-    are cached per θ object.  Column dedup is not applied here — sparse
+    products are computed once per M-step (they feed two ratios each)
+    and log-parameter tables once per θ.  Column dedup is not applied here — sparse
     transpose products already touch only stored entries.
     """
 
@@ -422,7 +400,6 @@ class CSRBackend:
         self.dep = problem.dependency.astype(np.float64)
         self.sc_dep = sc.multiply(self.dep).tocsr()  # dependent claims
         self.sc_indep = (sc - self.sc_dep).tocsr()  # independent claims
-        self._columns_cache = ParamsKeyedCache()
 
     @property
     def n_sources(self) -> int:
@@ -480,26 +457,23 @@ class CSRBackend:
     def _column_log_likelihoods(
         self, params: SourceParameters
     ) -> Tuple[np.ndarray, np.ndarray]:
-        def compute() -> Tuple[np.ndarray, np.ndarray]:
-            t = LogParameterTables.build(params)
-            dep_t = self.dep.T
-            indep_t = self.sc_indep.T
-            dep_claims_t = self.sc_dep.T
-            log_true = (
-                float(t.log_1a.sum())
-                + np.asarray(dep_t @ (t.log_1f - t.log_1a)).ravel()
-                + np.asarray(indep_t @ (t.log_a - t.log_1a)).ravel()
-                + np.asarray(dep_claims_t @ (t.log_f - t.log_1f)).ravel()
-            )
-            log_false = (
-                float(t.log_1b.sum())
-                + np.asarray(dep_t @ (t.log_1g - t.log_1b)).ravel()
-                + np.asarray(indep_t @ (t.log_b - t.log_1b)).ravel()
-                + np.asarray(dep_claims_t @ (t.log_g - t.log_1g)).ravel()
-            )
-            return log_true, log_false
-
-        return self._columns_cache.get(params, compute)
+        t = LogParameterTables.build(params)
+        dep_t = self.dep.T
+        indep_t = self.sc_indep.T
+        dep_claims_t = self.sc_dep.T
+        log_true = (
+            float(t.log_1a.sum())
+            + np.asarray(dep_t @ (t.log_1f - t.log_1a)).ravel()
+            + np.asarray(indep_t @ (t.log_a - t.log_1a)).ravel()
+            + np.asarray(dep_claims_t @ (t.log_f - t.log_1f)).ravel()
+        )
+        log_false = (
+            float(t.log_1b.sum())
+            + np.asarray(dep_t @ (t.log_1g - t.log_1b)).ravel()
+            + np.asarray(indep_t @ (t.log_b - t.log_1b)).ravel()
+            + np.asarray(dep_claims_t @ (t.log_g - t.log_1g)).ravel()
+        )
+        return log_true, log_false
 
     def posterior(self, params: SourceParameters) -> np.ndarray:
         log_true, log_false = self._column_log_likelihoods(params)
@@ -582,7 +556,6 @@ class MaskedDenseBackend:
             self._sc_bool, self._mask_bool
         )
         self._codes = flat_claim_codes(sc_cols, mask_cols)
-        self._columns_cache = ParamsKeyedCache()
 
     @property
     def n_sources(self) -> int:
@@ -636,26 +609,15 @@ class MaskedDenseBackend:
     def _column_log_likelihoods(
         self, params: IndependentParameters
     ) -> Tuple[np.ndarray, np.ndarray]:
-        def compute() -> Tuple[np.ndarray, np.ndarray]:
-            tables = IndependenceLogTables.build(params.t, params.b)
-            if not tables.finite:
-                log_t, log_1t = tables.log_t, tables.log_1t
-                log_b, log_1b = tables.log_b, tables.log_1b
-                log_true = self.mask * (
-                    self.sc * log_t[:, None] + (1 - self.sc) * log_1t[:, None]
-                )
-                log_false = self.mask * (
-                    self.sc * log_b[:, None] + (1 - self.sc) * log_1b[:, None]
-                )
-                return log_true.sum(axis=0), log_false.sum(axis=0)
-            log_true, log_false = coded_masked_column_log_likelihoods(
-                self._codes, tables
-            )
-            if self._groups is not None:
-                return self._groups.expand(log_true), self._groups.expand(log_false)
-            return log_true, log_false
-
-        return self._columns_cache.get(params, compute)
+        tables = IndependenceLogTables.build(params.t, params.b)
+        if not tables.finite:
+            return _masked_legacy_log_likelihoods(self.sc, self.mask, tables)
+        log_true, log_false = coded_masked_column_log_likelihoods(
+            self._codes, tables
+        )
+        if self._groups is not None:
+            return self._groups.expand(log_true), self._groups.expand(log_false)
+        return log_true, log_false
 
     def posterior(self, params: IndependentParameters) -> np.ndarray:
         log_true, log_false = self._column_log_likelihoods(params)

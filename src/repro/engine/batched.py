@@ -11,9 +11,10 @@ amortising the per-call NumPy dispatch across the whole batch.
 Lane model
 ----------
 A *lane* is one serial EM run: either one restart of a shared problem
-(:meth:`BatchedDenseBackend.from_backend` keeps the data as broadcast
-``(1, n, m)`` views — no copies) or one trial's distinct problem
-(:meth:`BatchedDenseBackend.from_backends` stacks same-shape problems).
+or one trial's distinct problem.  :meth:`BatchedDenseBackend.from_backends`
+takes one scalar backend per lane; when every lane names the same
+backend object (restart lanes) the data stays a broadcast ``(1, n, m)``
+view — no copies — and otherwise same-shape problems are stacked.
 Lanes never interact: every batched kernel reduces along the source
 axis or multiplies ``(·, n, m) @ (B, m, 1)`` stacked mat-vecs, both of
 which NumPy evaluates lane-wise with exactly the serial kernel's
@@ -71,10 +72,10 @@ is a no-op when no session is active and changes no numerics):
 Timing caveat: per-iteration ``IterationEvent.duration_seconds`` is the
 duration of the *shared* batched pass (all active lanes), not a
 per-lane cost — numeric fields are bitwise-serial, durations are not.
-Events are built only when ``collect_events`` is set (the driver
+Events are built only when ``collect_events`` is set (the lane planner
 requests them when telemetry callbacks are attached); traces are
-always recorded.  Early-stop requests from callbacks are ignored, as
-in the parallel restart path: events are replayed after the fact.
+always recorded.  Early-stop requests from callbacks are ignored:
+events are replayed after the fact.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ from repro.kernels.likelihood import (
     dual_lane_codes,
     lane_offset_codes,
 )
-from repro.kernels.tables import BatchedLogParameterTables, ParamsKeyedCache
+from repro.kernels.tables import BatchedLogParameterTables
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -303,9 +304,8 @@ def _batched_posterior_and_ll(
 class BatchedDenseBackend:
     """Dense backend running B same-shape lanes per kernel call.
 
-    Build via :meth:`from_backend` (B restarts of one problem, data
-    shared as broadcast ``(1, n, m)`` views) or :meth:`from_backends`
-    (B distinct same-shape problems, data stacked).  The EM-step API
+    Build via :meth:`from_backends`, one scalar backend per lane.  The
+    EM-step API
     mirrors :class:`~repro.engine.backends.DenseBackend` with a lane
     axis prepended; :meth:`compact` drops retired lanes.
     """
@@ -338,7 +338,6 @@ class BatchedDenseBackend:
         #: ``(1 | B, n, m)`` flat (n, 4)-table codes without lane offsets.
         self._base_codes = batched_flat_claim_codes(sc != 0, dep != 0)
         self._set_lane_codes()
-        self._columns_cache = ParamsKeyedCache()
 
     def _set_lane_codes(self) -> None:
         """(Re)derive the lane-offset gather codes from the base codes."""
@@ -350,23 +349,16 @@ class BatchedDenseBackend:
         )
 
     @classmethod
-    def from_backend(
-        cls, backend: "DenseBackend", n_lanes: int
-    ) -> "BatchedDenseBackend":
-        """``n_lanes`` restart lanes over ``backend``'s problem (no copies)."""
-        return cls(
-            backend.sc[None],
-            backend.dep[None],
-            n_lanes=n_lanes,
-            smoothing=backend.smoothing,
-            epsilon=backend.epsilon,
-        )
-
-    @classmethod
     def from_backends(
         cls, backends: Sequence["DenseBackend"]
     ) -> "BatchedDenseBackend":
-        """One lane per same-shape scalar backend (trial packs)."""
+        """One lane per same-shape scalar backend.
+
+        When every lane is the same backend object (the restarts of one
+        problem) the lanes share its matrices as broadcast
+        ``(1, n, m)`` views, which :meth:`compact` never copies;
+        distinct backends (trial packs, serving batches) are stacked.
+        """
         if not backends:
             raise ValidationError("cannot batch an empty backend sequence")
         shapes = {b.sc.shape for b in backends}
@@ -379,9 +371,15 @@ class BatchedDenseBackend:
             raise ValidationError(
                 "cannot batch backends with different smoothing/epsilon settings"
             )
+        first = backends[0]
+        if all(b is first for b in backends):
+            sc, dep = first.sc[None], first.dep[None]
+        else:
+            sc = np.stack([b.sc for b in backends])
+            dep = np.stack([b.dep for b in backends])
         return cls(
-            np.stack([b.sc for b in backends]),
-            np.stack([b.dep for b in backends]),
+            sc,
+            dep,
             n_lanes=len(backends),
             smoothing=backends[0].smoothing,
             epsilon=backends[0].epsilon,
@@ -394,11 +392,6 @@ class BatchedDenseBackend:
     @property
     def n_assertions(self) -> int:
         return self.sc.shape[2]
-
-    @property
-    def shared_problem(self) -> bool:
-        """All lanes view one problem (restart mode)."""
-        return self.sc.shape[0] == 1 and self.n_lanes != 1
 
     def _lane_data(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
         """Lane ``index``'s ``(sc, dep)`` float matrices."""
@@ -435,7 +428,6 @@ class BatchedDenseBackend:
             new.sc_dep = self.sc_dep[keep]
             new._base_codes = self._base_codes[keep]
         new._set_lane_codes()
-        new._columns_cache = ParamsKeyedCache()
         return new
 
     # -- EM steps ----------------------------------------------------------------
@@ -509,26 +501,22 @@ class BatchedDenseBackend:
         self, params: BatchedSourceParameters
     ) -> Tuple[np.ndarray, np.ndarray, BatchedLogParameterTables]:
         """Per-lane column log-likelihoods, ``(B, m)`` each, plus tables."""
-
-        def compute() -> Tuple[np.ndarray, np.ndarray, BatchedLogParameterTables]:
-            tables = BatchedLogParameterTables.build(params)
-            log_true, log_false = batched_dual_column_log_likelihoods(
-                self._dual_codes, tables
-            )
-            if not tables.finite.all():
-                # Unclamped degenerate lanes take the serial backend's
-                # careful legacy path, alone — splicing their rows over
-                # the garbage the fast gather produced for them.
-                for index in np.flatnonzero(~tables.finite):
-                    sc, dep = self._lane_data(int(index))
-                    lane_true, lane_false = column_log_likelihoods(
-                        sc, dep, params.lane(int(index))
-                    )
-                    log_true[index] = lane_true
-                    log_false[index] = lane_false
-            return log_true, log_false, tables
-
-        return self._columns_cache.get(params, compute)
+        tables = BatchedLogParameterTables.build(params)
+        log_true, log_false = batched_dual_column_log_likelihoods(
+            self._dual_codes, tables
+        )
+        if not tables.finite.all():
+            # Unclamped degenerate lanes take the serial backend's
+            # careful legacy path, alone — splicing their rows over
+            # the garbage the fast gather produced for them.
+            for index in np.flatnonzero(~tables.finite):
+                sc, dep = self._lane_data(int(index))
+                lane_true, lane_false = column_log_likelihoods(
+                    sc, dep, params.lane(int(index))
+                )
+                log_true[index] = lane_true
+                log_false[index] = lane_false
+        return log_true, log_false, tables
 
     def posterior(self, params: BatchedSourceParameters) -> np.ndarray:
         """Equation (9) truth posterior, ``(B, m)``."""

@@ -60,8 +60,7 @@ from repro.engine.health import RestartReport, RunHealth
 from repro.utils.errors import ConvergenceError, DeadlineExceeded, ValidationError
 from repro.utils.rng import RandomState, SeedLike, spawn_rngs
 
-if TYPE_CHECKING:  # deferred to keep repro.parallel imports lazy
-    from repro.parallel.config import ParallelConfig
+if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.resilience.supervisor import Deadline
 
 #: Per-iteration callback; a truthy return value requests an early stop.
@@ -158,17 +157,11 @@ class EMDriver:
         callbacks: Sequence[IterationCallback] = (),
         strict: bool = False,
         max_wall_seconds: Optional[float] = None,
-        parallel: Optional["ParallelConfig"] = None,
         budget: Optional["Deadline"] = None,
-        restart_mode: str = "serial",
     ) -> None:
         if max_wall_seconds is not None and max_wall_seconds <= 0:
             raise ValidationError(
                 f"max_wall_seconds must be positive, got {max_wall_seconds}"
-            )
-        if restart_mode not in ("serial", "batched"):
-            raise ValidationError(
-                f"restart_mode must be 'serial' or 'batched', got {restart_mode!r}"
             )
         self.max_iterations = max_iterations
         self.tolerance = tolerance
@@ -176,16 +169,13 @@ class EMDriver:
         self.callbacks = tuple(callbacks)
         self.strict = strict
         self.max_wall_seconds = max_wall_seconds
-        self.parallel = parallel
         self.budget = budget
-        self.restart_mode = restart_mode
 
     @classmethod
     def from_config(
         cls,
         config: Any,
         callbacks: Sequence[IterationCallback] = (),
-        parallel: Optional["ParallelConfig"] = None,
     ) -> "EMDriver":
         """Build from an :class:`~repro.core.em_ext.EMConfig`."""
         return cls(
@@ -195,8 +185,6 @@ class EMDriver:
             callbacks=callbacks,
             strict=getattr(config, "strict", False),
             max_wall_seconds=getattr(config, "max_wall_seconds", None),
-            parallel=parallel,
-            restart_mode=getattr(config, "restart_mode", "serial"),
         )
 
     def run(
@@ -295,18 +283,11 @@ class EMDriver:
         last diverged outcome is returned best-effort (with
         ``converged=False`` and the health report attached).
 
-        When the driver was built with a
-        :class:`~repro.parallel.ParallelConfig`, restarts execute in
-        worker processes (``_parallel_candidates``) with bit-for-bit
-        identical results; wall-clock budgets are timing-dependent and
-        force the serial loop.
-
-        With ``restart_mode="batched"`` (and a backend exposing
-        ``batched_lanes``) all restarts run as stacked lanes of one
-        tensor pass (``_batched_candidates``) — again bit-for-bit the
-        serial results, see :mod:`repro.engine.batched`.  Combined with
-        a :class:`~repro.parallel.ParallelConfig`, the lanes are split
-        into per-worker packs, so the two speedups compose.
+        Restarts run one after another.  Lane-batched restarts (EM-Ext's
+        ``restart_mode="batched"``) do not come through here: they run
+        on the shared lane planner,
+        :func:`repro.core.em_ext._batch_lane_outcomes`, which feeds its
+        lane outcomes to :meth:`consume_candidates`.
         """
         rng = RandomState(seed)
         health = RunHealth()
@@ -315,35 +296,9 @@ class EMDriver:
             if self.max_wall_seconds is not None
             else None
         )
-        use_batched = (
-            self.restart_mode == "batched"
-            and self.n_restarts > 1
-            and hasattr(backend, "batched_lanes")
+        candidates = self._serial_candidates(
+            backend, initialiser, rng, deadline, health
         )
-        if self.restart_mode == "batched" and self.n_restarts > 1 and not use_batched:
-            # Requested but unsupported by this backend (CSR/masked):
-            # fall back to the serial loop, visibly.
-            observability.count("engine.batched.fallbacks")
-        use_parallel = (
-            self.parallel is not None
-            and self.max_wall_seconds is None
-            and self.budget is None
-            and self.n_restarts > 1
-        )
-        if use_batched and use_parallel:
-            candidates = self._batched_parallel_candidates(
-                backend, initialiser, rng
-            )
-        elif use_batched:
-            candidates = self._batched_candidates(
-                backend, initialiser, rng, deadline
-            )
-        elif use_parallel:
-            candidates = self._parallel_candidates(backend, initialiser, rng)
-        else:
-            candidates = self._serial_candidates(
-                backend, initialiser, rng, deadline, health
-            )
         return self.consume_candidates(candidates, health)
 
     def consume_candidates(
@@ -355,9 +310,9 @@ class EMDriver:
 
         The shared back half of :meth:`fit` — health recording,
         NaN-safe selection, strict-mode escalation — factored out so
-        batched trial packs (see ``run_simulation``'s
-        ``trial_mode="batched"``) can feed pre-computed lane outcomes
-        through the identical selection and reporting path.
+        the lane planner (batched restarts, harness trial packs and
+        serving) can feed pre-computed lane outcomes through the
+        identical selection and reporting path.
         """
         if health is None:
             health = RunHealth()
@@ -438,8 +393,6 @@ class EMDriver:
         fallback.health = health
         return fallback
 
-    # -- restart execution strategies -------------------------------------------
-
     def _serial_candidates(
         self,
         backend: Any,
@@ -448,7 +401,7 @@ class EMDriver:
         deadline: Optional[float],
         health: RunHealth,
     ) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
-        """The historical in-process restart loop."""
+        """The restart loop: one full :meth:`run` per restart, in order."""
         for index, restart_rng in enumerate(spawn_rngs(rng, self.n_restarts)):
             if deadline is not None and index > 0 and time.perf_counter() >= deadline:
                 health.budget_exhausted = True
@@ -464,253 +417,6 @@ class EMDriver:
                 yield index, None, f"{type(error).__name__}: {error}"
                 continue
             yield index, candidate, None
-
-    def _parallel_candidates(
-        self,
-        backend: Any,
-        initialiser: Callable[[int, np.random.Generator], object],
-        rng: RandomState,
-    ) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
-        """Fan restarts out across worker processes.
-
-        Initialisers run in the *parent*, consuming the spawned restart
-        generators in exactly the serial order — the warm starts (and
-        therefore the outcome) are bit-for-bit those of a serial fit.
-        Workers only execute the deterministic EM loop; their telemetry
-        events are replayed through the parent's callbacks in restart
-        order (a callback's early-stop request cannot reach an
-        already-finished worker run and is ignored).
-        """
-        from repro.parallel.executor import parallel_map
-        from repro.parallel.merge import replay_events
-
-        prepared = []
-        init_errors = {}
-        for index, restart_rng in enumerate(spawn_rngs(rng, self.n_restarts)):
-            try:
-                prepared.append((index, initialiser(index, restart_rng)))
-            except Exception as error:
-                init_errors[index] = f"{type(error).__name__}: {error}"
-        collect = observability.enabled()
-        payloads = [
-            (backend, params, self.max_iterations, self.tolerance, collect)
-            for _, params in prepared
-        ]
-        results = parallel_map(_restart_worker, payloads, config=self.parallel)
-        by_index = {
-            index: result for (index, _), result in zip(prepared, results)
-        }
-        for index in range(self.n_restarts):
-            if index in init_errors:
-                yield index, None, init_errors[index]
-                continue
-            candidate, error, events, spans, metrics = by_index[index]
-            replay_events(events, self.callbacks)
-            if spans:
-                observability.graft(spans)
-            observability.merge_metrics(metrics)
-            yield index, candidate, error
-
-
-    def _prepare_restarts(
-        self,
-        initialiser: Callable[[int, np.random.Generator], object],
-        rng: RandomState,
-    ) -> Tuple[List[Tuple[int, object]], dict]:
-        """Run all initialisers in the parent, in serial order.
-
-        Shared by the batched candidate streams: warm starts consume
-        the spawned restart generators exactly as the serial loop does,
-        so lane starting points are bit-for-bit serial.  Initialiser
-        exceptions become per-restart error strings, as in
-        ``_serial_candidates``.
-        """
-        prepared: List[Tuple[int, object]] = []
-        init_errors: dict = {}
-        for index, restart_rng in enumerate(spawn_rngs(rng, self.n_restarts)):
-            try:
-                prepared.append((index, initialiser(index, restart_rng)))
-            except Exception as error:
-                init_errors[index] = f"{type(error).__name__}: {error}"
-        return prepared, init_errors
-
-    def _batched_candidates(
-        self,
-        backend: Any,
-        initialiser: Callable[[int, np.random.Generator], object],
-        rng: RandomState,
-        deadline: Optional[float],
-    ) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
-        """Evaluate all restarts as stacked lanes of one tensor pass.
-
-        Lane ``b`` is bit-for-bit the serial restart ``b`` (see
-        :mod:`repro.engine.batched`); telemetry events are replayed
-        through the parent's callbacks in restart order, like the
-        parallel path.  A wall deadline or supervision budget cuts the
-        whole batch at a pass boundary instead of between restarts —
-        timing budgets were never bitwise-reproducible anyway.
-        """
-        from repro.engine.batched import run_batched_lanes
-        from repro.parallel.merge import replay_events
-
-        prepared, init_errors = self._prepare_restarts(initialiser, rng)
-        lanes = (
-            run_batched_lanes(
-                backend.batched_lanes(len(prepared)),
-                [params for _, params in prepared],
-                max_iterations=self.max_iterations,
-                tolerance=self.tolerance,
-                deadline=deadline,
-                budget=self.budget,
-                # Events exist solely for callback replay; skipping
-                # their construction when nobody listens keeps the
-                # per-pass bookkeeping lean without changing numerics.
-                collect_events=bool(self.callbacks),
-            )
-            if prepared
-            else []
-        )
-        by_index = {index: lane for (index, _), lane in zip(prepared, lanes)}
-        for index in range(self.n_restarts):
-            if index in init_errors:
-                yield index, None, init_errors[index]
-                continue
-            lane = by_index[index]
-            replay_events(lane.events, self.callbacks)
-            yield index, lane.outcome, lane.error
-
-    def _batched_parallel_candidates(
-        self,
-        backend: Any,
-        initialiser: Callable[[int, np.random.Generator], object],
-        rng: RandomState,
-    ) -> Iterator[Tuple[int, Optional[DriverOutcome], Optional[str]]]:
-        """Split the restart lanes into per-worker packs.
-
-        Lanes are independent, so packing is bitwise-neutral: each
-        worker runs one smaller batched pass and the two speedups
-        (lane batching, process fan-out) compose multiplicatively.
-        Worker telemetry/spans/metrics are replayed in restart order,
-        as in ``_parallel_candidates``.
-        """
-        from repro.parallel.config import cpu_count
-        from repro.parallel.executor import parallel_map
-        from repro.parallel.merge import replay_events
-
-        prepared, init_errors = self._prepare_restarts(initialiser, rng)
-        assert self.parallel is not None
-        n_jobs = self.parallel.n_jobs
-        effective = cpu_count() if n_jobs == -1 else n_jobs
-        n_packs = max(1, min(len(prepared), effective))
-        packs = [
-            pack
-            for pack in np.array_split(np.arange(len(prepared)), n_packs)
-            if len(pack)
-        ]
-        collect = observability.enabled()
-        collect_events = bool(self.callbacks)
-        payloads = [
-            (
-                backend,
-                [prepared[int(i)][1] for i in pack],
-                self.max_iterations,
-                self.tolerance,
-                collect,
-                collect_events,
-            )
-            for pack in packs
-        ]
-        results = parallel_map(
-            _batched_pack_worker, payloads, config=self.parallel
-        )
-        flat: List[Tuple[Optional[DriverOutcome], Optional[str], List[IterationEvent]]] = []
-        for lanes, spans, metrics in results:
-            if spans:
-                observability.graft(spans)
-            observability.merge_metrics(metrics)
-            flat.extend(lanes)
-        by_index = {index: lane for (index, _), lane in zip(prepared, flat)}
-        for index in range(self.n_restarts):
-            if index in init_errors:
-                yield index, None, init_errors[index]
-                continue
-            candidate, error, events = by_index[index]
-            replay_events(events, self.callbacks)
-            yield index, candidate, error
-
-
-def _batched_pack_worker(payload):
-    """Run one pack of batched restart lanes in a worker (pool entry point).
-
-    Returns ``([(outcome, error, events), ...], spans, metrics)`` — one
-    triple per lane, in lane order.  A batch-level exception (there is
-    no per-lane raise inside the batched loop) is carried back as every
-    lane's error string rather than killing the pool.
-    """
-    from repro.engine.batched import run_batched_lanes
-
-    backend, params_list, max_iterations, tolerance, collect, collect_events = payload
-
-    def _run():
-        try:
-            lanes = run_batched_lanes(
-                backend.batched_lanes(len(params_list)),
-                params_list,
-                max_iterations=max_iterations,
-                tolerance=tolerance,
-                collect_events=collect_events,
-            )
-        except Exception as error:
-            message = f"{type(error).__name__}: {error}"
-            return [(None, message, []) for _ in params_list]
-        return [(lane.outcome, lane.error, lane.events) for lane in lanes]
-
-    if collect:
-        with observability.observe() as session:
-            out = _run()
-        return out, session.export_spans(), session.metrics.snapshot()
-    return _run(), [], None
-
-
-def _restart_worker(payload):
-    """Run one restart's EM loop in a worker process (pool entry point).
-
-    Returns ``(outcome, error_message, events, spans, metrics)`` —
-    exceptions are carried back as strings so one bad restart is
-    isolated exactly as in the serial loop instead of killing the pool.
-    With ``collect`` set (the parent had an observability session open)
-    the restart runs under its own worker session and its span trees
-    and metrics snapshot travel back for in-order replay, mirroring the
-    telemetry events.
-    """
-    backend, params, max_iterations, tolerance, collect = payload
-    recorder = TelemetryRecorder()
-    driver = EMDriver(
-        max_iterations=max_iterations, tolerance=tolerance, callbacks=(recorder,)
-    )
-    if collect:
-        # A failing run must still ship whatever it recorded before the
-        # fault — the serial path keeps those records in the ambient
-        # session, so dropping them here would break counter parity.
-        with observability.observe() as session:
-            outcome: Optional[DriverOutcome] = None
-            error_message: Optional[str] = None
-            try:
-                outcome = driver.run(backend, params)
-            except Exception as error:
-                error_message = f"{type(error).__name__}: {error}"
-        return (
-            outcome,
-            error_message,
-            list(recorder.events),
-            session.export_spans(),
-            session.metrics.snapshot(),
-        )
-    try:
-        outcome = driver.run(backend, params)
-    except Exception as error:
-        return None, f"{type(error).__name__}: {error}", list(recorder.events), [], None
-    return outcome, None, list(recorder.events), [], None
 
 
 __all__ = [

@@ -5,8 +5,8 @@ engine backends and :mod:`repro.core.likelihood` all route their inner
 loops through it.  The modules are deliberately small and orthogonal:
 
 =====================  ======================================================
-:mod:`~repro.kernels.tables`       log-parameter tables, built once per θ and
-                                   cached by parameter-object identity
+:mod:`~repro.kernels.tables`       log-parameter tables, built once per θ
+                                   (scalar, independence and lane-stacked)
 :mod:`~repro.kernels.dedup`        unique-column grouping shared by the exact
                                    bound, the Gibbs bound and the E-step
 :mod:`~repro.kernels.likelihood`   vectorised select-based column
@@ -29,7 +29,6 @@ from repro.kernels.dedup import ColumnGroups, group_columns, group_paired_column
 from repro.kernels.enumeration import gray_pattern_masses, pattern_block
 from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables
 from repro.kernels.likelihood import (
-    batched_column_log_likelihoods,
     batched_dual_column_log_likelihoods,
     dense_column_log_likelihoods,
     dual_lane_codes,
@@ -40,7 +39,6 @@ from repro.kernels.tables import (
     BatchedLogParameterTables,
     IndependenceLogTables,
     LogParameterTables,
-    ParamsKeyedCache,
 )
 
 __all__ = [
@@ -50,8 +48,6 @@ __all__ = [
     "GibbsTables",
     "IndependenceLogTables",
     "LogParameterTables",
-    "ParamsKeyedCache",
-    "batched_column_log_likelihoods",
     "batched_dual_column_log_likelihoods",
     "dense_column_log_likelihoods",
     "gray_pattern_masses",

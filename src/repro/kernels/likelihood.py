@@ -117,25 +117,6 @@ def lane_offset_codes(
     return base_codes + offsets[:, None, None]
 
 
-def batched_column_log_likelihoods(
-    lane_codes: np.ndarray, tables: BatchedLogParameterTables
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-lane column log-likelihoods from lane-offset flat codes.
-
-    ``lane_codes`` comes from :func:`lane_offset_codes`; the flat
-    ``take`` gathers every lane's cells from the flattened ``(B, n, 4)``
-    tables in one pass, and the axis-1 sum reduces each lane's column
-    with exactly the serial kernel's axis-0 reduction order — so lane
-    ``b`` of the result is bit-for-bit what
-    :func:`coded_dense_column_log_likelihoods` returns for that lane
-    alone.  Returns ``(log_true, log_false)``, each ``(B, m)``.
-    """
-    return (
-        np.take(tables.table_true.reshape(-1), lane_codes).sum(axis=1),
-        np.take(tables.table_false.reshape(-1), lane_codes).sum(axis=1),
-    )
-
-
 def dual_lane_codes(
     lane_codes: np.ndarray, n_sources: int, n_lanes: int
 ) -> np.ndarray:
@@ -159,11 +140,12 @@ def batched_dual_column_log_likelihoods(
     """Both per-lane column log-likelihoods in one flat gather.
 
     ``dual_codes`` comes from :func:`dual_lane_codes`.  The single
-    ``take`` over the fused ``(2, B, n, 4)`` buffer gathers exactly the
-    cells the two per-table takes of
-    :func:`batched_column_log_likelihoods` would, and the axis-2 sum
-    reduces each (table, lane, column) triple in the serial axis-0
-    order — bitwise identical results, half the gather dispatch.
+    ``take`` over the fused ``(2, B, n, 4)`` buffer gathers every lane's
+    true and false cells from the flattened tables in one pass, and the
+    axis-2 sum reduces each (table, lane, column) triple in the serial
+    axis-0 order — so lane ``b`` is bit-for-bit what
+    :func:`coded_dense_column_log_likelihoods` returns for that lane
+    alone.
     Returns ``(log_true, log_false)``, each ``(B, m)``.
     """
     columns = np.take(tables.tables.reshape(-1), dual_codes).sum(axis=2)
@@ -193,7 +175,6 @@ def masked_column_log_likelihoods(
 
 
 __all__ = [
-    "batched_column_log_likelihoods",
     "batched_dual_column_log_likelihoods",
     "batched_flat_claim_codes",
     "claim_codes",

@@ -1,35 +1,16 @@
-"""Log-parameter tables, built once per θ and cached by identity.
+"""Log-parameter tables, built once per θ.
 
 θ changes exactly once per EM iteration (at the M-step) while the
-E-step, the posterior and the log-likelihood all consume ``log θ``
-terms.  Historically each of those calls re-took eight logs; the tables
-here are built once per parameter *object* and reused for every
-downstream call that sees the same object.
-
-Invalidation
-------------
-There is none, by construction: :class:`~repro.core.model.SourceParameters`
-(and the baselines' ``IndependentParameters``) are immutable and every
-M-step returns a fresh instance, so identity (``is``) is a sound cache
-key — a table can never go stale because the parameters it was built
-from can never change.  :class:`ParamsKeyedCache` is the identity-keyed
-LRU cache the backends use; the plain EM loop only ever touches the
-current iteration's θ (one warm slot), while interleaved restart
-evaluation and probe/accept patterns alternate between a small handful
-of θ objects, which a few extra slots keep warm.
+E-step's posterior and log likelihood both consume ``log θ`` terms; the
+backends build the tables once per E-step and feed both quantities from
+one likelihood pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, TypeVar
 
 import numpy as np
-
-from repro.observability import count
-from repro.utils.validation import check_positive_int
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -138,54 +119,6 @@ class IndependenceLogTables:
         )
 
 
-class ParamsKeyedCache:
-    """Small LRU cache keyed by parameter-object *identity*.
-
-    Identity keying sidesteps both hashing (numpy arrays are unhashable)
-    and staleness (immutable parameters cannot change under the cache).
-    The plain EM loop only ever consults the current iteration's θ, so
-    the most-recently-used slot — checked first, one ``is`` comparison —
-    carries virtually all traffic; the remaining slots (four total by
-    default) keep alternating θ probes warm when restart interleaving or
-    probe/accept line-search patterns bounce between a handful of
-    parameter objects that a single slot would thrash on.
-    """
-
-    def __init__(
-        self, n_slots: int = 4, *, metric_prefix: str = "kernels.params_cache"
-    ) -> None:
-        check_positive_int(n_slots, "n_slots")
-        self._n_slots = int(n_slots)
-        # Counter names resolved once at construction so the hot path
-        # never pays for string formatting; the prefix lets other
-        # layers (e.g. the serving warm-start cache) reuse this LRU
-        # under their own metric namespace.
-        self._hits_metric = f"{metric_prefix}.hits"
-        self._misses_metric = f"{metric_prefix}.misses"
-        #: Most-recently-used first.
-        self._slots: List[Tuple[object, object]] = []
-
-    def get(self, params, compute: Callable[[], T]) -> T:
-        """Return the cached value for ``params``, computing on miss."""
-        slots = self._slots
-        if slots and slots[0][0] is params:
-            count(self._hits_metric)
-            return slots[0][1]
-        for position in range(1, len(slots)):
-            if slots[position][0] is params:
-                count(self._hits_metric)
-                slots.insert(0, slots.pop(position))
-                return slots[0][1]
-        count(self._misses_metric)
-        value = compute()
-        slots.insert(0, (params, value))
-        del slots[self._n_slots :]
-        return value
-
-    def clear(self) -> None:
-        self._slots.clear()
-
-
 @dataclass(frozen=True)
 class BatchedLogParameterTables:
     """Per-lane gather tables for stacked parameter lanes.
@@ -259,5 +192,4 @@ __all__ = [
     "BatchedLogParameterTables",
     "IndependenceLogTables",
     "LogParameterTables",
-    "ParamsKeyedCache",
 ]

@@ -20,7 +20,6 @@ and the serial-vs-parallel parity wall in ``tests/parallel/``.
 from repro.observability.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
-    hit_rate,
     metrics_document,
     write_metrics_json,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "count",
     "enabled",
     "graft",
-    "hit_rate",
     "merge_metrics",
     "metrics_document",
     "observe",

@@ -129,21 +129,6 @@ class MetricsRegistry:
         )
 
 
-def hit_rate(
-    snapshot: Mapping[str, Mapping], prefix: str = "kernels.params_cache"
-) -> float:
-    """Hit rate of a ``<prefix>.hits`` / ``<prefix>.misses`` counter pair.
-
-    Returns 0.0 when the pair was never touched, so callers can print
-    the rate unconditionally.
-    """
-    counters = snapshot.get("counters", snapshot)
-    hits = counters.get(f"{prefix}.hits", 0)
-    misses = counters.get(f"{prefix}.misses", 0)
-    total = hits + misses
-    return hits / total if total else 0.0
-
-
 def metrics_document(snapshot: Mapping[str, Mapping]) -> Dict:
     """Wrap a snapshot in the versioned on-disk metrics document."""
     return {
@@ -152,9 +137,6 @@ def metrics_document(snapshot: Mapping[str, Mapping]) -> Dict:
         "gauges": dict(snapshot.get("gauges", {})),
         "histograms": {
             name: dict(s) for name, s in snapshot.get("histograms", {}).items()
-        },
-        "derived": {
-            "kernels.params_cache.hit_rate": hit_rate(snapshot),
         },
     }
 
@@ -169,7 +151,6 @@ def write_metrics_json(path: str, snapshot: Mapping[str, Mapping]) -> None:
 __all__ = [
     "METRICS_SCHEMA",
     "MetricsRegistry",
-    "hit_rate",
     "metrics_document",
     "write_metrics_json",
 ]

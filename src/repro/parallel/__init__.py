@@ -2,9 +2,9 @@
 
 The paper's evaluation is embarrassingly parallel three times over:
 Section V-B sweeps hundreds of Monte-Carlo trials per parameter point,
-Algorithm 1 runs one Gibbs chain per distinct dependency column, and
-multi-restart EM runs independent restarts.  This package fans each of
-those out across worker processes under one configuration object,
+and Algorithm 1 runs one Gibbs chain per distinct dependency column.
+This package fans both out across worker processes under one
+configuration object,
 without giving up the library's determinism guarantee:
 
 * :mod:`repro.parallel.config` — :class:`ParallelConfig`
@@ -18,15 +18,13 @@ without giving up the library's determinism guarantee:
 
 **Determinism contract.**  Every parallel entry point draws its random
 numbers in the *parent*, in the same order as the serial code path
-(dataset generation, ``SeedSequence``-derived trial/restart/chain
-seeds), ships explicit seeds or generators to workers, and consumes
+(dataset generation, ``SeedSequence``-derived trial/chain seeds), ships explicit seeds or generators to workers, and consumes
 results in task order.  A run with ``n_jobs=8`` is therefore
 bit-for-bit identical to ``n_jobs=1`` — pinned by
 ``tests/parallel/test_parity.py``.
 
 Entry points: :func:`repro.eval.harness.run_simulation` (``parallel=``),
-:func:`repro.bounds.gibbs.gibbs_bound` (``parallel=``),
-:class:`repro.engine.driver.EMDriver` (``parallel=``), and the CLI's
+:func:`repro.bounds.gibbs.gibbs_bound` (``parallel=``), and the CLI's
 ``--n-jobs`` flag.
 """
 

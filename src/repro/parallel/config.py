@@ -3,8 +3,7 @@
 One :class:`ParallelConfig` describes *how* a fan-out runs — worker
 count, backend, chunking, worker start method and the per-result
 timeout guard — while the call sites (:func:`repro.eval.harness.run_simulation`,
-:func:`repro.bounds.gibbs.gibbs_bound`,
-:class:`repro.engine.driver.EMDriver`) decide *what* is fanned out.
+:func:`repro.bounds.gibbs.gibbs_bound`) decide *what* is fanned out.
 
 The determinism contract (docs/ARCHITECTURE.md "Parallelism") is
 deliberately not configurable: every parallel entry point draws its

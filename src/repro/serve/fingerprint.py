@@ -1,10 +1,8 @@
 """Content fingerprints and the equality-keyed serving caches.
 
-The kernel layer's :class:`~repro.kernels.tables.ParamsKeyedCache` keys
-on object *identity* because θ objects are immutable and fresh every
-M-step.  The serving layer faces the opposite situation: two requests
-carrying structurally identical problems are different objects, and
-identity keying would never hit.  So the service keys on *content*:
+Two requests carrying structurally identical problems are different
+objects, so identity keying would never hit.  The service keys its
+caches on *content* instead:
 
 * :func:`problem_fingerprint` digests a problem's storage layout,
   shape and matrix bytes — two problems share a fingerprint iff their

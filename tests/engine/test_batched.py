@@ -17,7 +17,7 @@ import pytest
 
 from repro import observability
 from repro.core import SourceParameters, fit_em_ext_batch
-from repro.core.em_ext import EMConfig, EMExtEstimator
+from repro.core.em_ext import EMConfig, EMExtEstimator, _prepare_restarts
 from repro.core.likelihood import column_log_likelihoods
 from repro.engine import EMDriver, TelemetryRecorder
 from repro.engine.backends import DenseBackend, _check_rates_finite
@@ -31,6 +31,7 @@ from repro.engine.batched import (
 from repro.eval import run_simulation
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ConvergenceError, ValidationError
+from repro.utils.rng import RandomState
 from repro.utils.validation import check_probability
 
 SEED = 20160627  # the paper's conference date; any fixed seed works
@@ -184,7 +185,7 @@ class TestBatchedKernelParity:
         f[0] = 1.0
         degenerate = SourceParameters(a=a, b=params[1].b, f=f, g=params[1].g, z=0.5)
         lanes = [params[0], degenerate, params[2]]
-        batched = BatchedDenseBackend.from_backend(backend, 3)
+        batched = BatchedDenseBackend.from_backends([backend] * 3)
         # The legacy path warns on 0·(-inf) products for unclamped θ —
         # identically on the serial backend; silence it on both sides so
         # the comparison is about the floats, not the warning filter.
@@ -223,7 +224,7 @@ class TestBatchedKernelParity:
         problem = _problem()
         backend = DenseBackend(problem, smoothing=smoothing)
         params = _random_params(problem.n_sources, SEED, 2)
-        batched = BatchedDenseBackend.from_backend(backend, 2)
+        batched = BatchedDenseBackend.from_backends([backend] * 2)
         stacked = BatchedSourceParameters.stack(params)
         posterior, _ = batched.e_step(stacked)
         new_params = batched.m_step(posterior, stacked)
@@ -242,7 +243,7 @@ class TestRunBatchedLanes:
         inits = _random_params(problem.n_sources, SEED, 5)
         driver = EMDriver(max_iterations=60, tolerance=1e-6)
         lanes = run_batched_lanes(
-            BatchedDenseBackend.from_backend(backend, 5),
+            BatchedDenseBackend.from_backends([backend] * 5),
             inits,
             max_iterations=60,
             tolerance=1e-6,
@@ -264,7 +265,7 @@ class TestRunBatchedLanes:
 
         def run(collect_events):
             return run_batched_lanes(
-                BatchedDenseBackend.from_backend(backend, 3),
+                BatchedDenseBackend.from_backends([backend] * 3),
                 inits,
                 max_iterations=40,
                 tolerance=1e-6,
@@ -290,7 +291,7 @@ class TestRunBatchedLanes:
         backend = DenseBackend(problem)
         with pytest.raises(ValidationError):
             run_batched_lanes(
-                BatchedDenseBackend.from_backend(backend, 3),
+                BatchedDenseBackend.from_backends([backend] * 3),
                 _random_params(problem.n_sources, SEED, 2),
                 max_iterations=5,
                 tolerance=1e-6,
@@ -307,6 +308,34 @@ class TestRunBatchedLanes:
         smoothed = DenseBackend(_problem(), smoothing=1.0)
         with pytest.raises(ValidationError):
             BatchedDenseBackend.from_backends([plain, smoothed])
+
+
+class TestFromBackends:
+    def test_one_backend_for_every_lane_shares_a_broadcast_stack(self):
+        backend = DenseBackend(_problem())
+        batched = BatchedDenseBackend.from_backends([backend] * 4)
+        n, m = backend.sc.shape
+        assert batched.n_lanes == 4
+        assert batched.sc.shape == batched.dep.shape == (1, n, m)
+        assert np.shares_memory(batched.sc, backend.sc)
+        assert np.shares_memory(batched.dep, backend.dep)
+        # Compaction swaps lane codes only; the shared data is never copied.
+        compacted = batched.compact(np.array([0, 2]))
+        assert compacted.n_lanes == 2
+        for name in ("sc", "dep", "indep", "sc_indep", "sc_dep", "_base_codes"):
+            assert getattr(compacted, name) is getattr(batched, name), name
+
+    def test_distinct_backends_still_stack(self):
+        backends = [DenseBackend(_problem(seed=SEED + k)) for k in range(3)]
+        batched = BatchedDenseBackend.from_backends(backends)
+        n, m = backends[0].sc.shape
+        assert batched.sc.shape == (3, n, m)
+        for index, backend in enumerate(backends):
+            assert np.array_equal(batched.sc[index], backend.sc)
+            assert not np.shares_memory(batched.sc, backend.sc)
+        # A repeated backend among distinct ones also stacks.
+        mixed = BatchedDenseBackend.from_backends(backends[:1] * 2 + backends[1:2])
+        assert mixed.sc.shape == (3, n, m)
 
 
 class TestRestartModeParity:
@@ -337,23 +366,42 @@ class TestRestartModeParity:
         """NaN claims fault every lane with the serial error, verbatim."""
         problem = _problem()
         estimator = EMExtEstimator(seed=SEED)
+        config = EMConfig(n_restarts=3, init_strategy="random")
+        driver = EMDriver.from_config(config)
 
-        def poisoned_fit(restart_mode):
+        def poisoned_backend():
             backend = DenseBackend(problem)
             backend.sc[0, 0] = np.nan
             backend.sc_indep[0, 0] = np.nan
-            config = EMConfig(
-                n_restarts=3, init_strategy="random", restart_mode=restart_mode
-            )
-            driver = EMDriver.from_config(config)
-            with pytest.raises(ConvergenceError) as exc:
-                driver.fit(backend, estimator._initialiser(backend), SEED)
-            return str(exc.value)
+            return backend
 
-        serial_message = poisoned_fit("serial")
-        batched_message = poisoned_fit("batched")
-        assert serial_message == batched_message
-        assert "every EM restart failed" in batched_message
+        backend = poisoned_backend()
+        with pytest.raises(ConvergenceError) as serial_exc:
+            driver.fit(backend, estimator._initialiser(backend), SEED)
+
+        # The lane path: initialisers up front, one batched pass, then
+        # the driver's shared selection.
+        backend = poisoned_backend()
+        prepared, init_errors = _prepare_restarts(
+            estimator._initialiser(backend), RandomState(SEED), config.n_restarts
+        )
+        lanes = run_batched_lanes(
+            BatchedDenseBackend.from_backends([backend] * len(prepared)),
+            [params for _, params in prepared],
+            max_iterations=config.max_iterations,
+            tolerance=config.tolerance,
+        )
+        by_index = {index: lane for (index, _), lane in zip(prepared, lanes)}
+        candidates = (
+            (index, None, init_errors[index])
+            if index in init_errors
+            else (index, by_index[index].outcome, by_index[index].error)
+            for index in range(config.n_restarts)
+        )
+        with pytest.raises(ConvergenceError) as batched_exc:
+            driver.consume_candidates(candidates)
+        assert str(serial_exc.value) == str(batched_exc.value)
+        assert "every EM restart failed" in str(batched_exc.value)
 
     def test_lane_fault_string_matches_the_serial_raise(self):
         """A poisoned lane retires with the serial m_step's message."""
@@ -365,7 +413,7 @@ class TestRestartModeParity:
             backend.m_step(backend.posterior(inits[0]), inits[0])
         serial_error = f"{type(exc.value).__name__}: {exc.value}"
         lanes = run_batched_lanes(
-            backend.batched_lanes(2),
+            BatchedDenseBackend.from_backends([backend] * 2),
             inits,
             max_iterations=10,
             tolerance=1e-6,
@@ -473,6 +521,33 @@ class TestFitEmExtBatch:
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             fit_em_ext_batch([_problem()], seeds=[1, 2])
+
+    @pytest.mark.parametrize("front_end", ["fit_em_ext_batch", "batched_restarts"])
+    def test_wall_budget_counts_initialiser_time(self, monkeypatch, front_end):
+        """The max_wall_seconds clock starts on entry, as in EMDriver.fit."""
+        import time
+
+        from repro.core import em_ext
+
+        staged = em_ext.staged_initialisation
+
+        def slow_staged(*args, **kwargs):
+            time.sleep(0.05)
+            return staged(*args, **kwargs)
+
+        monkeypatch.setattr(em_ext, "staged_initialisation", slow_staged)
+        problem = _problem(n_sources=30, n_assertions=50)
+        config = EMConfig(max_wall_seconds=0.01, n_restarts=2)
+        serial = EMExtEstimator(config, seed=SEED).fit(problem)
+        if front_end == "fit_em_ext_batch":
+            (batched,) = fit_em_ext_batch([problem], seeds=[SEED], config=config)
+        else:
+            batched = EMExtEstimator(
+                EMConfig(max_wall_seconds=0.01, n_restarts=2, restart_mode="batched"),
+                seed=SEED,
+            ).fit(problem)
+        assert serial.n_iterations == batched.n_iterations == 1
+        assert serial.health.budget_exhausted and batched.health.budget_exhausted
 
 
 class TestHarnessTrialMode:

@@ -69,7 +69,7 @@ def _assert_lanes_match_serial(problem, inits, *, smoothing=0.0, tolerance=1e-5)
     driver = EMDriver(max_iterations=25, tolerance=tolerance)
     with np.errstate(invalid="ignore", divide="ignore"):
         lanes = run_batched_lanes(
-            backend.batched_lanes(len(inits)),
+            BatchedDenseBackend.from_backends([backend] * len(inits)),
             inits,
             max_iterations=25,
             tolerance=tolerance,

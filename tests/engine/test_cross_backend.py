@@ -80,3 +80,37 @@ class TestStagedDeterminism:
         first = SparseEMExt().fit(problem)
         second = SparseEMExt().fit(problem)
         np.testing.assert_array_equal(first.scores, second.scores)
+
+
+class TestMaskedLegacyFallback:
+    def test_degenerate_rates_match_the_masked_backend_and_the_equations(
+        self, dataset
+    ):
+        """Unclamped 0/1 rates take one multiply-add fallback on both backends."""
+        from repro.baselines.em_independent import IndependentParameters
+        from repro.engine.backends import DenseBackend, MaskedDenseBackend
+
+        dense = DenseBackend(dataset.problem.without_truth())
+        rng = np.random.default_rng(0)
+        t = rng.uniform(0.1, 0.9, dense.n_sources)
+        b = rng.uniform(0.1, 0.9, dense.n_sources)
+        t[0], b[1] = 0.0, 1.0
+        masked = MaskedDenseBackend(dense.sc, dense.indep)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = dense.masked_log_likelihoods(t, b)
+            twin = masked._column_log_likelihoods(
+                IndependentParameters(t=t, b=b, z=0.5)
+            )
+            expected = [
+                (
+                    dense.indep
+                    * (
+                        dense.sc * np.log(rate)[:, None]
+                        + (1 - dense.sc) * np.log1p(-rate)[:, None]
+                    )
+                ).sum(axis=0)
+                for rate in (t, b)
+            ]
+        for dense_side, masked_side, reference in zip(got, twin, expected):
+            assert np.array_equal(dense_side, reference, equal_nan=True)
+            assert np.array_equal(masked_side, reference, equal_nan=True)

@@ -2,8 +2,8 @@
 
 The parity suite (``test_parity.py``) checks end-to-end agreement with
 the pre-optimisation pins; the tests here check the pieces in
-isolation — cell codes, table-gather kernels, log tables, dedup, the
-identity cache — plus the strict ``GibbsConfig`` field validation.
+isolation — cell codes, table-gather kernels, log tables, dedup —
+plus the strict ``GibbsConfig`` field validation.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from repro.kernels.likelihood import (
     flat_claim_codes,
     masked_column_log_likelihoods,
 )
-from repro.kernels.tables import (
-    IndependenceLogTables,
-    LogParameterTables,
-    ParamsKeyedCache,
-)
+from repro.kernels.tables import IndependenceLogTables, LogParameterTables
 from repro.resilience import Deadline
 from repro.utils.errors import (
     DeadlineExceeded,
@@ -164,51 +160,6 @@ class TestDedup:
         matrix = np.array([[1, 1, 0]])
         groups = group_columns(matrix)
         assert groups.weights().sum() == pytest.approx(1.0)
-
-
-class TestParamsKeyedCache:
-    def test_identity_keyed_lru(self):
-        cache = ParamsKeyedCache()
-        calls = []
-        key_a, key_b = object(), object()
-        assert cache.get(key_a, lambda: calls.append("a") or 1) == 1
-        assert cache.get(key_a, lambda: calls.append("a2") or 2) == 1
-        assert cache.get(key_b, lambda: calls.append("b") or 3) == 3
-        # Multi-slot LRU: returning to key_a hits the second slot.
-        assert cache.get(key_a, lambda: calls.append("a3") or 4) == 1
-        assert calls == ["a", "b"]
-
-    def test_least_recently_used_is_evicted(self):
-        cache = ParamsKeyedCache(n_slots=2)
-        keys = [object() for _ in range(3)]
-        cache.get(keys[0], lambda: 0)
-        cache.get(keys[1], lambda: 1)
-        # keys[0] is now least recent; touching it promotes it ...
-        assert cache.get(keys[0], lambda: 99) == 0
-        # ... so inserting keys[2] evicts keys[1], not keys[0].
-        cache.get(keys[2], lambda: 2)
-        assert cache.get(keys[0], lambda: 98) == 0
-        assert cache.get(keys[1], lambda: 97) == 97
-
-    def test_single_slot_still_supported(self):
-        cache = ParamsKeyedCache(n_slots=1)
-        key_a, key_b = object(), object()
-        assert cache.get(key_a, lambda: 1) == 1
-        assert cache.get(key_b, lambda: 2) == 2
-        # One slot: returning to key_a recomputes.
-        assert cache.get(key_a, lambda: 3) == 3
-
-    def test_rejects_non_positive_slots(self):
-        with pytest.raises(ValidationError):
-            ParamsKeyedCache(n_slots=0)
-
-    def test_clear_drops_all_slots(self):
-        cache = ParamsKeyedCache()
-        keys = [object() for _ in range(3)]
-        for value, key in enumerate(keys):
-            cache.get(key, lambda value=value: value)
-        cache.clear()
-        assert cache.get(keys[0], lambda: 42) == 42
 
 
 class TestGibbsConfigValidation:

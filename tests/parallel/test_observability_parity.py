@@ -16,7 +16,6 @@ import pytest
 from repro import observability
 from repro.baselines import make_fact_finder
 from repro.bounds import GibbsConfig, gibbs_bound
-from repro.engine import DenseBackend, EMDriver, support_initialisation
 from repro.eval import run_simulation
 from repro.observability import validate_span_tree
 from repro.parallel import ParallelConfig
@@ -131,39 +130,6 @@ class TestGibbsObservabilityParity:
         for root in roots:
             assert validate_span_tree(root) == []
         assert results[0].total == results[1].total == results[2].total
-
-
-class TestDriverObservabilityParity:
-    def test_restart_fanout_counters_match_serial(self):
-        dataset = generate_dataset(CONFIG, seed=5)
-        backend = DenseBackend(dataset.problem.without_truth())
-
-        def initialiser(index, rng):
-            if index == 0:
-                return support_initialisation(backend)
-            return backend.random_params(rng)
-
-        def fit(parallel):
-            driver = EMDriver(
-                max_iterations=80,
-                tolerance=1e-8,
-                n_restarts=3,
-                parallel=parallel,
-            )
-            return driver.fit(backend, initialiser, seed=11)
-
-        counter_sets = []
-        roots = []
-        for parallel in (None, ParallelConfig(n_jobs=N_JOBS), ParallelConfig.serial()):
-            _, counters, root = _observed_run(lambda p=parallel: fit(p))
-            counter_sets.append(counters)
-            roots.append(root)
-        assert counter_sets[0] == counter_sets[1] == counter_sets[2]
-        assert counter_sets[0]["em.restarts"] == 3
-        assert counter_sets[0]["em.iterations"] > 0
-        for root in roots:
-            assert validate_span_tree(root) == []
-            assert _span_names(root) == _span_names(roots[0])
 
 
 class _FlakySeedFinder:

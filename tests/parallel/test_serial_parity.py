@@ -1,8 +1,8 @@
 """The serial-parity wall: parallel execution must be bit-for-bit serial.
 
-Every parallel entry point — the simulation harness, the sharded Gibbs
-bound, the EM driver's restart fan-out — promises results that are
-*identical* (not just statistically equivalent) for any worker count.
+Every parallel entry point — the simulation harness and the sharded
+Gibbs bound — promises results that are *identical* (not just
+statistically equivalent) for any worker count.
 These tests hold the line with exact ``==`` comparisons on floats.
 
 ``REPRO_TEST_N_JOBS`` overrides the non-trivial worker count (CI uses 2
@@ -12,17 +12,11 @@ to match its runners; the default is 4).
 import multiprocessing
 import os
 
-import numpy as np
 import pytest
 
 from repro.baselines import make_fact_finder
 from repro.bounds import GibbsConfig, gibbs_bound
-from repro.engine import (
-    DenseBackend,
-    EMDriver,
-    TelemetryRecorder,
-    support_initialisation,
-)
+from repro.engine import TelemetryRecorder
 from repro.eval import run_simulation
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
@@ -126,97 +120,6 @@ class TestGibbsParity:
             assert other.false_negative == reference.false_negative
             assert other.n_samples == reference.n_samples
         assert 0.0 <= reference.total <= 0.5
-
-
-class TestDriverParity:
-    def test_restart_fanout_bit_for_bit(self):
-        dataset = generate_dataset(CONFIG, seed=5)
-        backend = DenseBackend(dataset.problem.without_truth())
-
-        def initialiser(index, rng):
-            if index == 0:
-                return support_initialisation(backend)
-            return backend.random_params(rng)
-
-        recorders = [TelemetryRecorder() for _ in range(3)]
-        outcomes = []
-        for recorder, parallel in zip(
-            recorders,
-            (None, ParallelConfig(n_jobs=N_JOBS), ParallelConfig.serial()),
-        ):
-            driver = EMDriver(
-                max_iterations=80,
-                tolerance=1e-8,
-                n_restarts=3,
-                callbacks=(recorder,),
-                parallel=parallel,
-            )
-            outcomes.append(driver.fit(backend, initialiser, seed=11))
-        serial = outcomes[0]
-        for other in outcomes[1:]:
-            np.testing.assert_array_equal(serial.posterior, other.posterior)
-            assert serial.log_likelihood == other.log_likelihood
-            assert list(serial.trace.log_likelihoods) == list(
-                other.trace.log_likelihoods
-            )
-            assert serial.health.selected == other.health.selected
-            assert [
-                (r.index, r.status, r.n_iterations, r.log_likelihood)
-                for r in serial.health.restarts
-            ] == [
-                (r.index, r.status, r.n_iterations, r.log_likelihood)
-                for r in other.health.restarts
-            ]
-        assert _event_keys(recorders[0]) == _event_keys(recorders[1])
-        assert _event_keys(recorders[0]) == _event_keys(recorders[2])
-
-    def test_batched_lanes_split_into_worker_packs_bit_for_bit(self):
-        # restart_mode="batched" + ParallelConfig routes through
-        # _batched_parallel_candidates: lanes are split into per-worker
-        # packs, and the composition must still be bitwise serial.
-        dataset = generate_dataset(CONFIG, seed=17)
-        backend = DenseBackend(dataset.problem.without_truth())
-
-        def initialiser(index, rng):
-            if index == 0:
-                return support_initialisation(backend)
-            return backend.random_params(rng)
-
-        outcomes = []
-        for restart_mode, parallel in (
-            ("serial", None),
-            ("batched", ParallelConfig(n_jobs=N_JOBS)),
-            ("batched", ParallelConfig.serial()),
-        ):
-            driver = EMDriver(
-                max_iterations=80,
-                tolerance=1e-8,
-                n_restarts=4,
-                restart_mode=restart_mode,
-                parallel=parallel,
-            )
-            outcomes.append(driver.fit(backend, initialiser, seed=23))
-        serial = outcomes[0]
-        for other in outcomes[1:]:
-            np.testing.assert_array_equal(serial.posterior, other.posterior)
-            assert serial.log_likelihood == other.log_likelihood
-            for name in ("a", "b", "f", "g"):
-                np.testing.assert_array_equal(
-                    getattr(serial.parameters, name),
-                    getattr(other.parameters, name),
-                )
-            assert serial.parameters.z == other.parameters.z
-            assert list(serial.trace.log_likelihoods) == list(
-                other.trace.log_likelihoods
-            )
-            assert serial.health.selected == other.health.selected
-            assert [
-                (r.index, r.status, r.n_iterations, r.log_likelihood)
-                for r in serial.health.restarts
-            ] == [
-                (r.index, r.status, r.n_iterations, r.log_likelihood)
-                for r in other.health.restarts
-            ]
 
 
 class _FlakySeedFinder:
