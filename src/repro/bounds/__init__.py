@@ -1,7 +1,9 @@
 """Fundamental error bounds (Section III) and related confidence bounds.
 
-* :func:`exact_bound` / :func:`exact_column_bound` — Equation (3) by
-  full enumeration;
+* :func:`exact_bound` / :func:`exact_column_bound` — Equation (3) over
+  all ``2^n`` claim patterns, evaluated meet-in-the-middle from
+  ``2^{n/2}``-entry half tables (one path for every column, degenerate
+  0/1 rates included);
 * :func:`gibbs_bound` / :func:`gibbs_column_bound` — Algorithm 1's
   Gibbs-sampling approximation (Equation 6);
 * :func:`bound_cascade` — deadline-aware degradation ladder

@@ -11,15 +11,12 @@ the total probability mass of the smaller joints,
         \\min\\{P(SC_j | C_j = 1; D, θ) z,\\;
                P(SC_j | C_j = 0; D, θ) (1 - z)\\}.
 
-The :math:`2^n` sweep runs through the Gray-code split-table kernel of
-:mod:`repro.kernels.enumeration` — ``O(2^n · K)`` for ``K`` distinct
-dependency columns instead of the historical ``O(2^n · n · K)`` chunked
-matrix products — so ``n`` up to the mid-20s is practical (matching the
-paper's Figure 3 range of 5–25 sources).  Beyond
+Every exact bound — one column or a whole D matrix, degenerate 0/1
+rates included — evaluates the :math:`2^n`-pattern sum with the
+meet-in-the-middle kernel of :mod:`repro.kernels.enumeration`, which
+costs ``O(2^{n/2} · n)`` per distinct dependency column.  Beyond
 :data:`MAX_EXACT_SOURCES` the call is refused — use the Gibbs
-approximation in :mod:`repro.bounds.gibbs`.  Degenerate rates (exact
-0/1, impossible patterns) take a careful chunked fallback that reasons
-about the infinities explicitly.
+approximation in :mod:`repro.bounds.gibbs`.
 """
 
 from __future__ import annotations
@@ -32,7 +29,7 @@ import numpy as np
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
 from repro.kernels.dedup import unique_columns
-from repro.kernels.enumeration import gray_pattern_masses, pattern_block
+from repro.kernels.enumeration import gray_pattern_masses
 from repro.observability import span
 from repro.utils.errors import ValidationError
 
@@ -41,9 +38,6 @@ if TYPE_CHECKING:  # deferred to keep the bounds import-light
 
 #: Refuse exact enumeration above this source count (2^30 patterns).
 MAX_EXACT_SOURCES = 30
-
-#: Patterns evaluated per vectorised chunk (degenerate fallback path).
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -110,21 +104,40 @@ def _emission_rates(
     return rate_true, rate_false
 
 
-def _is_degenerate(rate_true: np.ndarray, rate_false: np.ndarray) -> bool:
-    """True when any rate sits exactly on 0/1 (impossible patterns exist)."""
-    return bool(
-        ((rate_true == 0) | (rate_true == 1)).any()
-        or ((rate_false == 0) | (rate_false == 1)).any()
-    )
+def _exact_bound(
+    columns,
+    weights: np.ndarray,
+    params: SourceParameters,
+    deadline: Optional["Deadline"],
+) -> BoundResult:
+    """Equation (3) averaged over dependency ``columns`` with ``weights``.
 
-
-def _masses_to_result(fp_mass: float, fn_mass: float) -> BoundResult:
-    return BoundResult(
-        total=fp_mass + fn_mass,
-        false_positive=fp_mass,
-        false_negative=fn_mass,
-        method="exact",
-    )
+    One kernel call covers every column; ``-inf`` logs of rates exactly
+    at 0/1 go to the kernel as they are.
+    """
+    n, k = params.n_sources, len(columns)
+    if n > MAX_EXACT_SOURCES:
+        raise ValidationError(
+            f"exact bound needs 2^{n} pattern evaluations; refusing n > "
+            f"{MAX_EXACT_SOURCES}. Use the Gibbs bound instead."
+        )
+    rate_true = np.empty((n, k))
+    rate_false = np.empty((n, k))
+    for index, column in enumerate(columns):
+        rate_true[:, index], rate_false[:, index] = _emission_rates(column, params)
+    with np.errstate(divide="ignore"):
+        fp_mass, fn_mass = gray_pattern_masses(
+            np.log(rate_true),
+            np.log1p(-rate_true),
+            np.log(rate_false),
+            np.log1p(-rate_false),
+            float(np.log(params.z)),
+            float(np.log1p(-params.z)),
+            deadline=deadline,
+        )
+    fp = float(np.sum(weights * fp_mass))
+    fn = float(np.sum(weights * fn_mass))
+    return BoundResult(total=fp + fn, false_positive=fp, false_negative=fn, method="exact")
 
 
 def exact_column_bound(
@@ -135,109 +148,19 @@ def exact_column_bound(
 ) -> BoundResult:
     """Exact Bayes-risk bound for a single assertion column.
 
-    Enumerates all :math:`2^n` claim patterns.  Errors where the optimal
+    Sums over all :math:`2^n` claim patterns.  Errors where the optimal
     estimator decides "true" contribute to the false-positive share
     (the assertion was actually false), and vice versa; ties are decided
     as "false", matching the strict ``>`` comparison of Algorithm 1.
+    This is the one-column case of :func:`exact_bound`.
 
     ``deadline`` (a :class:`repro.resilience.supervisor.Deadline`) is
     checked cooperatively inside the enumeration; on expiry the raised
     :class:`~repro.utils.errors.DeadlineExceeded` records how many
     patterns were swept.
     """
-    rate_true, rate_false = _emission_rates(d_column, params)
-    n = rate_true.size
-    if n > MAX_EXACT_SOURCES:
-        raise ValidationError(
-            f"exact bound needs 2^{n} pattern evaluations; refusing n > "
-            f"{MAX_EXACT_SOURCES}. Use gibbs_column_bound instead."
-        )
-    degenerate = _is_degenerate(rate_true, rate_false)
-    with span("bound.exact_column", n_sources=n, degenerate=degenerate):
-        if degenerate:
-            return _degenerate_column_bound(
-                rate_true, rate_false, params.z, deadline=deadline
-            )
-        with np.errstate(divide="ignore"):
-            log_z, log_1z = np.log(params.z), np.log1p(-params.z)
-        fp_mass, fn_mass = gray_pattern_masses(
-            np.log(rate_true)[:, None],
-            np.log1p(-rate_true)[:, None],
-            np.log(rate_false)[:, None],
-            np.log1p(-rate_false)[:, None],
-            log_z,
-            log_1z,
-            deadline=deadline,
-        )
-        return _masses_to_result(float(fp_mass[0]), float(fn_mass[0]))
-
-
-def _degenerate_column_bound(
-    rate_true: np.ndarray,
-    rate_false: np.ndarray,
-    z: float,
-    *,
-    deadline: Optional["Deadline"] = None,
-) -> BoundResult:
-    """Chunked enumeration handling rates exactly at 0/1.
-
-    Impossible patterns (a claim where the rate is 0, silence where it
-    is 1) carry ``-inf`` log joints; the matrix products stay NaN-free
-    by masking the infinities out and re-applying them per pattern.
-    """
-    n = rate_true.size
-    with np.errstate(divide="ignore"):
-        log_r1, log_1r1 = np.log(rate_true), np.log1p(-rate_true)
-        log_r0, log_1r0 = np.log(rate_false), np.log1p(-rate_false)
-        log_z, log_1z = np.log(z), np.log1p(-z)
-
-    fp_mass = 0.0
-    fn_mass = 0.0
-    total_patterns = 1 << n
-    for start in range(0, total_patterns, _CHUNK):
-        if deadline is not None:
-            deadline.check(
-                "exact degenerate enumeration",
-                patterns_done=start,
-                patterns_total=total_patterns,
-            )
-        stop = min(start + _CHUNK, total_patterns)
-        patterns = pattern_block(start, stop, n)
-        with np.errstate(invalid="ignore"):
-            log_joint_true = (
-                patterns @ _finite(log_r1) + (1.0 - patterns) @ _finite(log_1r1)
-            )
-            log_joint_false = (
-                patterns @ _finite(log_r0) + (1.0 - patterns) @ _finite(log_1r0)
-            )
-        # Re-apply -inf contributions masked out by _finite: a pattern is
-        # impossible if it claims where the rate is 0 or stays silent
-        # where the rate is 1.
-        log_joint_true += _impossible_penalty(patterns, rate_true)
-        log_joint_false += _impossible_penalty(patterns, rate_false)
-        joint_true = np.exp(log_joint_true + log_z)
-        joint_false = np.exp(log_joint_false + log_1z)
-        decide_true = joint_true > joint_false
-        fp_mass += float(joint_false[decide_true].sum())
-        fn_mass += float(joint_true[~decide_true].sum())
-    return _masses_to_result(fp_mass, fn_mass)
-
-
-def _finite(log_values: np.ndarray) -> np.ndarray:
-    """Replace -inf with 0 so the matrix product stays NaN-free."""
-    return np.where(np.isfinite(log_values), log_values, 0.0)
-
-
-def _impossible_penalty(patterns: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """-inf for patterns that hit a zero-probability cell, else 0."""
-    zero_rate = rates == 0.0
-    one_rate = rates == 1.0
-    if not zero_rate.any() and not one_rate.any():
-        return np.zeros(patterns.shape[0])
-    impossible = (patterns[:, zero_rate] == 1).any(axis=1) | (
-        patterns[:, one_rate] == 0
-    ).any(axis=1)
-    return np.where(impossible, -np.inf, 0.0)
+    with span("bound.exact_column", n_sources=params.n_sources):
+        return _exact_bound([d_column], np.ones(1), params, deadline)
 
 
 def exact_bound(
@@ -249,10 +172,8 @@ def exact_bound(
     """Exact bound averaged over all assertion columns of a D matrix.
 
     Columns with identical dependency patterns share a bound, so the
-    computation groups unique columns first and then evaluates *all*
-    unique columns together inside the Gray-code sweep — one wide
-    incremental update per pattern instead of one enumeration per
-    column, which is what keeps the paper's n = 25 sweeps tractable.
+    computation groups unique columns first and evaluates them all in
+    one call of the meet-in-the-middle kernel, weighted by multiplicity.
 
     ``dependency`` may be a raw array or column, a
     ``DependencyMatrix``, a scipy sparse matrix, or a whole sensing
@@ -265,53 +186,13 @@ def exact_bound(
     if dep.ndim != 2:
         raise ValidationError(f"dependency must be 1-D or 2-D, got {dep.shape}")
     unique_cols, counts = _unique_columns(dep)
-    n = params.n_sources
-    if n > MAX_EXACT_SOURCES:
-        raise ValidationError(
-            f"exact bound needs 2^{n} pattern evaluations; refusing n > "
-            f"{MAX_EXACT_SOURCES}. Use gibbs_bound instead."
-        )
-    k = unique_cols.shape[0]
     with span(
-        "bound.exact", n_sources=n, n_columns=int(dep.shape[1]), n_unique=k
+        "bound.exact",
+        n_sources=params.n_sources,
+        n_columns=int(dep.shape[1]),
+        n_unique=unique_cols.shape[0],
     ):
-        rate_true = np.empty((n, k))
-        rate_false = np.empty((n, k))
-        degenerate = False
-        for index, column in enumerate(unique_cols):
-            rate_true[:, index], rate_false[:, index] = _emission_rates(column, params)
-            degenerate = degenerate or _is_degenerate(
-                rate_true[:, index], rate_false[:, index]
-            )
-        if degenerate:
-            # Rare corner (rates exactly 0/1): fall back to the careful
-            # per-column path that handles impossible patterns explicitly.
-            total = fp = fn = 0.0
-            m = dep.shape[1]
-            for column, count in zip(unique_cols, counts):
-                result = exact_column_bound(column, params, deadline=deadline)
-                weight = count / m
-                total += weight * result.total
-                fp += weight * result.false_positive
-                fn += weight * result.false_negative
-            return BoundResult(
-                total=total, false_positive=fp, false_negative=fn, method="exact"
-            )
-
-        log_z, log_1z = float(np.log(params.z)), float(np.log1p(-params.z))
-        fp_mass, fn_mass = gray_pattern_masses(
-            np.log(rate_true),
-            np.log1p(-rate_true),
-            np.log(rate_false),
-            np.log1p(-rate_false),
-            log_z,
-            log_1z,
-            deadline=deadline,
-        )
-        weights = counts / dep.shape[1]
-        fp = float(np.sum(weights * fp_mass))
-        fn = float(np.sum(weights * fn_mass))
-        return _masses_to_result(fp, fn)
+        return _exact_bound(unique_cols, counts / dep.shape[1], params, deadline)
 
 
 def bound_from_pattern_table(

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.baselines import EMPIRICAL_ALGORITHMS, make_fact_finder
 from repro.bounds import (
+    MAX_EXACT_SOURCES,
     BoundResult,
     GibbsConfig,
     bound_from_pattern_table,
@@ -212,13 +213,20 @@ def figure6_bound_timing(
     """Figure 6: computation time of exact vs approximate bound.
 
     Exact enumeration is skipped above ``exact_cutoff`` sources (the
-    figure's whole point is that it becomes intractable).  Defaults
+    figure's whole point is that it becomes intractable).  The default
+    cutoff is :data:`~repro.bounds.exact.MAX_EXACT_SOURCES`: the exact
+    bound grows as ``2^{n/2}`` and passes the flat Gibbs cost between
+    n = 26 and 28, so the grid runs to n = 30 and one size beyond.  Defaults
     scale with ``REPRO_FULL_TRIALS``.
     """
     if n_values is None:
-        n_values = (5, 10, 15, 20, 22, 26) if full_trials() else (5, 10, 15, 20, 24)
+        n_values = (
+            (5, 10, 15, 20, 22, 24, 26, 28, 30, 32)
+            if full_trials()
+            else (5, 10, 15, 20, 25, 30, 32)
+        )
     if exact_cutoff is None:
-        exact_cutoff = 22 if full_trials() else 20
+        exact_cutoff = MAX_EXACT_SOURCES
     gibbs_config = gibbs_config or GibbsConfig(min_sweeps=600, max_sweeps=6000)
     rng = RandomState(seed)
     rows = []

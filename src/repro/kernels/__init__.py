@@ -11,8 +11,9 @@ loops through it.  The modules are deliberately small and orthogonal:
                                    bound, the Gibbs bound and the E-step
 :mod:`~repro.kernels.likelihood`   vectorised select-based column
                                    log-likelihoods for binary matrices
-:mod:`~repro.kernels.enumeration`  Gray-code split-table enumeration of the
-                                   ``2^n`` claim patterns (exact bound)
+:mod:`~repro.kernels.enumeration`  meet-in-the-middle sum over the ``2^n``
+                                   claim patterns (exact bound), from
+                                   ``2^{n/2}`` half tables per column
 :mod:`~repro.kernels.gibbs`        blocked, fully vectorised Gibbs sweeps
 :mod:`~repro.kernels.reference`    frozen pre-optimisation implementations,
                                    kept for the benchmark-regression harness
@@ -20,13 +21,13 @@ loops through it.  The modules are deliberately small and orthogonal:
 
 Every kernel either reproduces the historical output bit-for-bit (the
 deterministic E/M-step paths) or within a documented tolerance (the
-reordered exact enumeration, the resampled Gibbs chain); the contract
+exact bound's reordered sum, the resampled Gibbs chain); the contract
 is pinned by ``tests/kernels`` against ``tests/data/kernel_reference.npz``
 and timed by ``benchmarks/test_kernel_micro.py``.
 """
 
 from repro.kernels.dedup import ColumnGroups, group_columns, group_paired_columns
-from repro.kernels.enumeration import gray_pattern_masses, pattern_block
+from repro.kernels.enumeration import gray_pattern_masses
 from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables
 from repro.kernels.likelihood import (
     batched_dual_column_log_likelihoods,
@@ -56,5 +57,4 @@ __all__ = [
     "dual_lane_codes",
     "lane_offset_codes",
     "masked_column_log_likelihoods",
-    "pattern_block",
 ]

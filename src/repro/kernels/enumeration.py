@@ -1,29 +1,40 @@
-"""Gray-code split-table enumeration of the exact bound's pattern sweep.
+"""Meet-in-the-middle evaluation of the exact bound's pattern sum.
 
-The exact bound (Equation 3) sums ``min`` of the two joints over all
-``2^n`` claim patterns.  The historical kernel materialised every
-pattern and took two ``(chunk, n) @ (n, K)`` matrix products per chunk
-— ``O(2^n · n · K)`` flops dominated by pattern construction for small
-``K``.  This kernel removes the factor ``n``:
+The exact bound (Equation 3) sums ``min{P(SC | C=1)·z, P(SC | C=0)·(1−z)}``
+over all ``2^n`` claim patterns of a dependency column.  Given the
+column, the sources are independent, so a pattern's joint factorises
+over any split of the sources and its log-likelihood ratio (LLR) is a
+sum of per-source terms.  The sum therefore splits like Horowitz and
+Sahni's subset-sum algorithm (JACM 1974):
 
-* the **low** ``n_lo`` sources are tabulated once: a ``(2^{n_lo}, K)``
-  table of exponentiated partial joints;
-* the **high** ``n_hi = n - n_lo`` sources are walked in Gray-code
-  order, so consecutive steps differ in a single source whose log-rate
-  delta updates a ``(K,)`` running contribution in ``O(K)``;
-* each step combines the two multiplicatively —
-  ``exp(low + high) = exp(low) · exp(high)`` — so the full sweep is
-  ``O(2^n · K)`` elementwise work with no transcendentals on the big
-  axis.
+* half A (the first ``⌊n/2⌋`` sources, plus the prior) and half B (the
+  rest) each get a table of ``P(u | true)``, ``P(u | false)`` and
+  ``LLR(u)`` over their own patterns, built by doubling — one source
+  at a time, no pattern matrix;
+* per column, half A is sorted by LLR.  A pattern ``(u, v)`` decides
+  "true" exactly when ``LLR_A(u) > −LLR_B(v)``, so one ``searchsorted``
+  per pattern ``v`` of half B splits half A into the patterns that
+  decide "false" (a prefix, whose true mass is the FN side) and those
+  that decide "true" (a suffix, whose false mass is the FP side).
 
-The running high-bit sums are refreshed from scratch periodically to
-keep cumulative float drift below the documented ``1e-9`` relative
-agreement with the historical enumeration (the pattern *set* is
-identical; only the summation order differs).
+The cost is ``O(2^{n/2} · (n + log 2^{n/2}))`` per column instead of
+``O(2^n)``, and every column of every exact bound — degenerate 0/1
+rates included — goes through the same code.
 
-All log inputs must be finite — callers route degenerate rates (exact
-0/1) through the careful legacy path that reasons about impossible
-patterns explicitly.
+Ties
+    Algorithm 1 decides "true" only on a strict ``>``, so an exact tie
+    decides "false".  Rounding makes an exact tie land anywhere within
+    the a-priori error bound of the LLR sums,
+    ``(n+1)·ε·(Σ_i max(|δ_i|, |ε_i|) + |log(z/(1−z))|)`` over the finite
+    per-source terms; an LLR inside it counts as a tie.
+
+Degenerate rates
+    A rate of exactly 0 or 1 gives ``±inf`` log terms, which flow
+    through unchanged: an impossible pattern gets zero mass, and a
+    pattern impossible under both truths gets a NaN LLR.  NaN sorts
+    last and the pattern carries zero mass on both sides, so where it
+    lands does not matter.  The prior is folded into half A's masses,
+    so this also holds for ``z`` of exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -37,42 +48,57 @@ from repro.observability import count, span
 if TYPE_CHECKING:  # deferred: kernels must stay import-light
     from repro.resilience.supervisor import Deadline
 
-#: Default number of tabulated low sources (64k-row tables, matching
-#: the historical chunk size).
-_LO_BITS = 16
-
-#: Element budget for the low table — shrinks ``n_lo`` when many
-#: distinct columns are in flight so the working set stays in cache.
-_MAX_TABLE_ELEMENTS = 1 << 22
-
-#: Refresh the incremental high-bit sums every this many Gray steps.
-_REFRESH_INTERVAL = 128
-
-
-def pattern_block(start: int, stop: int, n: int) -> np.ndarray:
-    """0/1 matrix of the binary expansions of ``start..stop-1`` (LSB = source 0)."""
-    codes = np.arange(start, stop, dtype=np.int64)[:, None]
-    return ((codes >> np.arange(n, dtype=np.int64)) & 1).astype(np.float64)
-
-
-def _low_bits(n: int, k: int) -> int:
-    n_lo = min(n, _LO_BITS)
-    while n_lo > 8 and (1 << n_lo) * max(k, 1) > _MAX_TABLE_ELEMENTS:
-        n_lo -= 1
-    return n_lo
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def table_bytes_estimate(n: int, k: int) -> int:
-    """Estimated low-table allocation of :func:`gray_pattern_masses`.
+    """Peak allocation of :func:`gray_pattern_masses` for ``n`` sources.
 
-    Two exponentiated ``(2^n_lo, K)`` float64 joint tables plus the
-    ``(2^n_lo, n_lo)`` pattern block and its complement — the cost
-    model :func:`repro.bounds.cascade.bound_cascade` checks against a
+    Three ``(K, 2^h)`` float64 tables per half (true mass, false mass,
+    LLR) plus at most 16 per-column work vectors of half-table length
+    (the sort order, the prefix and suffix sums, the split indices).
+    :func:`repro.bounds.cascade.bound_cascade` checks it against a
     deadline's memory budget before committing to the exact tier.
     """
-    n_lo = _low_bits(n, max(k, 1))
-    rows = 1 << n_lo
-    return 8 * rows * (2 * max(k, 1) + 2 * n_lo)
+    rows = (1 << (n // 2)) + (1 << (n - n // 2))
+    return 8 * rows * (3 * max(k, 1) + 16)
+
+
+def _half_tables(
+    claim: np.ndarray,
+    silence: np.ndarray,
+    claim_llr: np.ndarray,
+    silence_llr: np.ndarray,
+    start_mass,
+    start_llr,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Mass and LLR tables of one half of the sources, built by doubling.
+
+    ``claim``/``silence`` are ``(2, h, K)`` per-source probabilities
+    under (true, false) and ``claim_llr``/``silence_llr`` the ``(h, K)``
+    per-source LLR terms.  Returns the ``(2, K, 2^h)`` table of
+    ``P(u | true)``, ``P(u | false)`` and the ``(K, 2^h)`` table of
+    ``LLR(u)``, where pattern ``u`` has bit ``i`` set when the half's
+    ``i``-th source claims.  Adding source ``i`` doubles the tables: the
+    existing entries become the patterns where it is silent, their
+    copies the ones where it claims.
+    """
+    h, k = claim_llr.shape
+    mass = np.empty((2, k, 1 << h))
+    llr = np.empty((k, 1 << h))
+    mass[:, :, 0] = start_mass
+    llr[:, 0] = start_llr
+    for i in range(h):
+        old, new = slice(0, 1 << i), slice(1 << i, 2 << i)
+        np.multiply(mass[:, :, old], claim[:, i, :, None], out=mass[:, :, new])
+        mass[:, :, old] *= silence[:, i, :, None]
+        np.add(llr[:, old], claim_llr[i, :, None], out=llr[:, new])
+        llr[:, old] += silence_llr[i, :, None]
+    return mass, llr
+
+
+def _finite_abs(values: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(values), np.abs(values), 0.0)
 
 
 def gray_pattern_masses(
@@ -87,81 +113,71 @@ def gray_pattern_masses(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-column (false-positive, false-negative) mass of Equation (3).
 
-    Inputs are ``(n, K)`` finite log-rate tables (``r1``/``r0`` are the
-    emission rates given a true/false assertion).  For every one of the
-    ``2^n`` claim patterns the optimal estimator decides by the larger
-    joint (ties decide "false", matching Algorithm 1's strict ``>``);
-    the smaller joint's mass accumulates into the corresponding error
-    side.  Returns two ``(K,)`` arrays.
+    Inputs are ``(n, K)`` log-rate tables (``r1``/``r0`` are the claim
+    rates given a true/false assertion); ``-inf`` entries (rates of
+    exactly 0 or 1) are allowed.  For every one of the ``2^n`` claim
+    patterns the optimal estimator decides by the larger joint (ties
+    decide "false", matching Algorithm 1's strict ``>``), and the
+    smaller joint's mass accumulates into the corresponding error side.
+    Returns two ``(K,)`` arrays.  The sum is evaluated meet-in-the-middle
+    (see the module docstring); the name predates that algorithm and
+    stays because the benchmark's traced run (``bench/layers.py``)
+    wraps this function by name.
 
-    ``deadline`` is checked cooperatively once per Gray-code refresh
-    interval (every :data:`_REFRESH_INTERVAL` of the ``2^n_hi`` outer
-    steps — the check never touches the hot incremental updates); on
-    expiry :class:`~repro.utils.errors.DeadlineExceeded` carries the
-    pattern count completed so far.
+    ``deadline`` is checked for its memory budget before the half tables
+    are allocated and cooperatively before each column; on expiry
+    :class:`~repro.utils.errors.DeadlineExceeded` carries the
+    pattern·column terms completed so far.
     """
     n, k = log_r1.shape
-    n_lo = _low_bits(n, k)
-    n_hi = n - n_lo
+    half = n // 2
+    patterns_total = k << n
     if deadline is not None:
-        deadline.check_memory(
-            table_bytes_estimate(n, k), "gray_pattern_masses low table"
-        )
-        deadline.check(
-            "gray-code enumeration",
-            patterns_done=0,
-            patterns_total=1 << n,
-            n_columns=k,
-        )
+        deadline.check_memory(table_bytes_estimate(n, k), "exact bound half tables")
 
     with span(
-        "kernels.gray_enumeration",
-        n_sources=n,
-        n_columns=k,
-        n_lo=n_lo,
-        patterns=1 << n,
-    ):
-        patterns = pattern_block(0, 1 << n_lo, n_lo)
-        complement = 1.0 - patterns
-        exp_low_true = np.exp(patterns @ log_r1[:n_lo] + complement @ log_1r1[:n_lo])
-        exp_low_false = np.exp(patterns @ log_r0[:n_lo] + complement @ log_1r0[:n_lo])
+        "kernels.enumeration", n_sources=n, n_columns=k, patterns=1 << n
+    ), np.errstate(invalid="ignore"):
+        claim_llr = log_r1 - log_r0
+        silence_llr = log_1r1 - log_1r0
+        prior_llr = log_z - log_1z
+        tolerance = (n + 1) * _EPS * (
+            np.maximum(_finite_abs(claim_llr), _finite_abs(silence_llr)).sum(axis=0)
+            + (abs(prior_llr) if np.isfinite(prior_llr) else 0.0)
+        )
+        claim = np.exp(np.stack((log_r1, log_r0)))
+        silence = np.exp(np.stack((log_1r1, log_1r0)))
+        prior = np.exp([[log_z], [log_1z]])
+        a, b = slice(0, half), slice(half, n)
+        mass_a, llr_a = _half_tables(
+            claim[:, a], silence[:, a], claim_llr[a], silence_llr[a], prior, prior_llr
+        )
+        mass_b, llr_b = _half_tables(
+            claim[:, b], silence[:, b], claim_llr[b], silence_llr[b], 1.0, 0.0
+        )
 
-        delta_true = log_r1[n_lo:] - log_1r1[n_lo:]
-        delta_false = log_r0[n_lo:] - log_1r0[n_lo:]
-        base_true = log_1r1[n_lo:].sum(axis=0) + log_z
-        base_false = log_1r0[n_lo:].sum(axis=0) + log_1z
-        hi_true = base_true.copy()
-        hi_false = base_false.copy()
-
-        fp_mass = np.zeros(k)
-        fn_mass = np.zeros(k)
-        state = np.zeros(n_hi, dtype=bool)
-        total_steps = 1 << n_hi
-        for step in range(total_steps):
-            if step:
-                bit = (step & -step).bit_length() - 1
-                flip = -1.0 if state[bit] else 1.0
-                state[bit] = not state[bit]
-                if step % _REFRESH_INTERVAL:
-                    hi_true += flip * delta_true[bit]
-                    hi_false += flip * delta_false[bit]
-                else:
-                    hi_true = base_true + delta_true[state].sum(axis=0)
-                    hi_false = base_false + delta_false[state].sum(axis=0)
-                    if deadline is not None:
-                        deadline.check(
-                            "gray-code enumeration",
-                            patterns_done=step << n_lo,
-                            patterns_total=total_steps << n_lo,
-                            n_columns=k,
-                        )
-            joint_true = exp_low_true * np.exp(hi_true)
-            joint_false = exp_low_false * np.exp(hi_false)
-            decide_true = joint_true > joint_false
-            fp_mass += np.where(decide_true, joint_false, 0.0).sum(axis=0)
-            fn_mass += np.where(decide_true, 0.0, joint_true).sum(axis=0)
+        fp_mass = np.empty(k)
+        fn_mass = np.empty(k)
+        for c in range(k):
+            if deadline is not None:
+                deadline.check(
+                    "exact bound enumeration",
+                    patterns_done=c << n,
+                    patterns_total=patterns_total,
+                    n_columns=k,
+                )
+            order = np.argsort(llr_a[c])
+            true_a, false_a = mass_a[:, c, order]
+            # fn_prefix[i]: true mass of the i lowest-LLR patterns of A;
+            # fp_suffix[i]: false mass of the rest, summed from the top so
+            # small masses do not cancel against the total.
+            fn_prefix = np.concatenate(([0.0], np.cumsum(true_a)))
+            fp_suffix = np.concatenate((np.cumsum(false_a[::-1])[::-1], [0.0]))
+            split = np.searchsorted(llr_a[c, order], tolerance[c] - llr_b[c], side="right")
+            fn_mass[c] = mass_b[0, c] @ fn_prefix[split]
+            fp_mass[c] = mass_b[1, c] @ fp_suffix[split]
         count("kernels.enumeration.patterns", 1 << n)
     return fp_mass, fn_mass
 
 
-__all__ = ["gray_pattern_masses", "pattern_block", "table_bytes_estimate"]
+__all__ = ["gray_pattern_masses", "table_bytes_estimate"]

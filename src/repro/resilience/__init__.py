@@ -21,7 +21,7 @@ engine, the evaluation harness and the streaming estimator:
   ``tests/resilience`` chaos suite;
 * :mod:`repro.resilience.supervisor` — deadline-aware supervision:
   the cooperative :class:`Deadline` budget threaded through EM
-  iterations, Gibbs sweeps and Gray-code enumeration, deterministic
+  iterations, Gibbs sweeps and exact-bound columns, deterministic
   exponential backoff for retries, and the call-counted
   :class:`CircuitBreaker` the harness wraps around per-algorithm fits.
 """

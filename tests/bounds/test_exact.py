@@ -1,6 +1,7 @@
 """Tests for the exact error bound (Equation 3, Table I)."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -118,6 +119,47 @@ class TestExactMatrixBound:
         perm = np.array([2, 0, 1])
         permuted = exact_column_bound(d_column[perm], small_params.restrict(perm))
         assert permuted.total == pytest.approx(base.total)
+
+
+class TestExactTies:
+    def test_exact_ties_decide_false(self):
+        """Patterns whose two joints tie exactly decide "false" (strict ``>``).
+
+        Identical sources (a = f = 0.7, b = g = 0.3) at z = 0.5: a pattern
+        with k claims decides "true" iff 2k > n, so for even n the
+        patterns with n/2 claims tie and their false mass must stay out
+        of the false-positive share.  The reference is the binomial
+        closed form, not ``bound_from_pattern_table``: a table built from
+        float products such as 0.7^k · (1 − 0.7)^(n−k) breaks the ties by
+        rounding (1 − 0.7 is 0.30000000000000004), and at n = 4 it gives
+        FP 0.17415 where the answer is 0.04185.
+        """
+
+        def binomial(n, k, p):
+            return comb(n, k) * p**k * (1 - p) ** (n - k)
+
+        wrong = []
+        for n in range(1, 21):
+            params = SourceParameters.from_scalars(n, a=0.7, b=0.3, f=0.7, g=0.3, z=0.5)
+            result = exact_column_bound(np.zeros(n), params)
+            fp = 0.5 * sum(binomial(n, k, 0.3) for k in range(n + 1) if 2 * k > n)
+            fn = 0.5 * sum(binomial(n, k, 0.7) for k in range(n + 1) if 2 * k <= n)
+            if abs(result.false_positive - fp) > 1e-12 or abs(result.false_negative - fn) > 1e-12:
+                wrong.append((n, result.false_positive, fp))
+        assert not wrong, f"(n, FP, expected FP) off the closed form: {wrong}"
+
+        # Mirror pairs: half the sources point the other way, so every
+        # pattern with as many claims from each side ties.
+        rates = np.array([0.7, 0.3] * 4)
+        mirrored = SourceParameters(a=rates, b=rates[::-1], f=rates, g=rates[::-1], z=0.5)
+        result = exact_column_bound(np.zeros(8), mirrored)
+        assert result.false_positive == pytest.approx(0.028983825, abs=1e-12)
+
+        # Useless sources tie on every pattern: nothing decides "true".
+        useless = SourceParameters.from_scalars(6, a=0.4, b=0.4, f=0.4, g=0.4, z=0.5)
+        result = exact_column_bound(np.zeros(6), useless)
+        assert result.false_positive == 0.0
+        assert result.false_negative == pytest.approx(0.5, abs=1e-12)
 
 
 class TestBoundResult:

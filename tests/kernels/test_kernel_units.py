@@ -8,6 +8,8 @@ plus the strict ``GibbsConfig`` field validation.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from repro.bounds import exact_bound
 from repro.bounds.gibbs import GibbsConfig
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
 from repro.kernels.dedup import group_columns, group_paired_columns, unique_columns
-from repro.kernels.enumeration import table_bytes_estimate
+from repro.kernels.enumeration import gray_pattern_masses, table_bytes_estimate
 from repro.kernels.likelihood import (
     claim_codes,
     dense_column_log_likelihoods,
@@ -204,7 +206,7 @@ class TestGibbsConfigValidation:
 
 
 class TestEnumerationBudgets:
-    """Deadline/memory supervision of the Gray-code enumeration kernel."""
+    """Deadline/memory supervision of the exact bound's enumeration kernel."""
 
     def _case(self, n=8, k=3, seed=42):
         dependency = _random_binary((n, k), seed=seed, density=0.4)
@@ -252,3 +254,19 @@ class TestEnumerationBudgets:
         assert table_bytes_estimate(8, 1) > 0
         assert table_bytes_estimate(20, 4) >= table_bytes_estimate(20, 1)
         assert table_bytes_estimate(24, 2) >= table_bytes_estimate(20, 2)
+
+    @pytest.mark.parametrize("n, k", [(20, 31), (28, 31)])
+    def test_table_bytes_estimate_covers_the_traced_peak(self, n, k):
+        rng = np.random.default_rng(n)
+        r1 = rng.uniform(0.01, 0.99, (n, k))
+        r0 = rng.uniform(0.01, 0.99, (n, k))
+        logs = (np.log(r1), np.log1p(-r1), np.log(r0), np.log1p(-r0))
+        tracemalloc.start()
+        try:
+            gray_pattern_masses(*logs, np.log(0.3), np.log1p(-0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        estimate = table_bytes_estimate(n, k)
+        # An upper bound, and a tight one: the half tables are the peak.
+        assert peak <= estimate <= 1.5 * peak

@@ -35,7 +35,12 @@ from repro.bounds.cascade import analytic_tier
 from repro.core import SourceParameters
 from repro.engine import DenseBackend, EMDriver, support_initialisation
 from repro.resilience import Deadline, FaultInjector, InjectedFault
-from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
+from repro.synthetic import (
+    GeneratorConfig,
+    SyntheticGenerator,
+    empirical_parameters,
+    generate_dataset,
+)
 from repro.utils.errors import DeadlineExceeded, ValidationError
 
 pytestmark = pytest.mark.chaos
@@ -120,8 +125,27 @@ class TestCostModel:
         _assert_finite(outcome.bound)
 
     def test_estimate_exact_seconds_scales_with_problem(self):
+        # Linear in the distinct columns; the half tables double with
+        # every two sources.
         assert estimate_exact_seconds(20, 4) == 4 * estimate_exact_seconds(20, 1)
-        assert estimate_exact_seconds(21, 1) == 2 * estimate_exact_seconds(20, 1)
+        for n in (1, 10, 19, 20, 28):
+            assert estimate_exact_seconds(n + 2, 3) == 2 * estimate_exact_seconds(n, 3)
+
+    def test_fig6_sized_problem_keeps_the_exact_tier_under_five_seconds(self):
+        # A Fig. 6 problem at n = 20 with 31 distinct dependency columns
+        # (the paper_defaults draw the benchmark's bound-fig6 workload
+        # uses at seed 2016).  Its exact bound takes milliseconds; pricing
+        # it as 2^n · K patterns would predict 16.3 s and degrade it to
+        # Gibbs.
+        config = GeneratorConfig.paper_defaults(n_sources=20)
+        problem = SyntheticGenerator(config, seed=202408500).generate().problem
+        dependency = problem.dependency.values
+        assert np.unique(dependency, axis=1).shape[1] == 31
+        params = empirical_parameters(problem).clamp(1e-4)
+        outcome = bound_cascade(dependency, params, deadline=Deadline.after(5.0))
+        assert outcome.report.tier == "exact", outcome.report.summary()
+        assert not outcome.report.degraded
+        assert outcome.bound.total == exact_bound(dependency, params).total
 
     def test_expired_deadline_degrades_to_analytic_with_truthful_report(self):
         problem, params = _problem_and_params()
