@@ -6,7 +6,8 @@ The dense matrices of a Table III-size crawl do not fit in memory
 data arrays) and runs the same dependency-aware EM.  This example
 simulates a half-scale Ukraine crawl (~1 850 assertions over 40 days),
 asks the dataset for its evaluation day directly in CSR format, and
-fact-finds it — no dense matrices are ever materialised (an accidental
+fact-finds it with ``EMExtEstimator``, which runs a CSR problem on the
+sparse backend — no dense matrices are ever materialised (an accidental
 densification over the budget would raise ``MemoryBudgetError``).
 
 Requires scipy (``pip install -e '.[sparse]'``).
@@ -17,9 +18,8 @@ Run:
 
 import time
 
-from repro.core import EMConfig
+from repro.core import EMConfig, EMExtEstimator
 from repro.datasets import AssertionLabel, simulate_dataset, summarize_cascades
-from repro.sparse import SparseEMExt
 
 
 def main() -> None:
@@ -50,7 +50,7 @@ def main() -> None:
     )
 
     start = time.perf_counter()
-    result = SparseEMExt(EMConfig(smoothing=1.0)).fit(problem.without_truth())
+    result = EMExtEstimator(EMConfig(smoothing=1.0)).fit(problem.without_truth())
     elapsed = time.perf_counter() - start
     print(
         f"sparse EM-Ext: {result.n_iterations} iterations in {elapsed:.1f}s "

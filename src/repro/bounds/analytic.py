@@ -33,9 +33,10 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.bounds.exact import _emission_rates, _unique_columns
+from repro.bounds.exact import _emission_rates
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
+from repro.kernels.dedup import group_columns
 from repro.utils.errors import ValidationError
 
 
@@ -70,7 +71,7 @@ def bhattacharyya_bounds(
         columns = dep[None, :]
         weights = np.ones(1)
     elif dep.ndim == 2:
-        unique_cols, counts = _unique_columns(dep)
+        unique_cols, counts = group_columns(dep)
         columns = unique_cols
         weights = counts / dep.shape[1]
     else:

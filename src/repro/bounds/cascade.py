@@ -42,15 +42,11 @@ import numpy as np
 
 from repro import observability
 from repro.bounds.analytic import bhattacharyya_bounds
-from repro.bounds.exact import (
-    MAX_EXACT_SOURCES,
-    BoundResult,
-    _unique_columns,
-    exact_bound,
-)
+from repro.bounds.exact import MAX_EXACT_SOURCES, BoundResult, exact_bound
 from repro.bounds.gibbs import GibbsConfig, gibbs_bound
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
+from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import table_bytes_estimate
 from repro.resilience.supervisor import Deadline
 from repro.utils.errors import (
@@ -251,7 +247,7 @@ def _problem_size(dependency) -> Tuple[Optional[int], Optional[int], str]:
         return int(dep.shape[0]), 1, ""
     if dep.ndim == 2:
         try:
-            unique_cols, _ = _unique_columns(dep)
+            unique_cols, _ = group_columns(dep)
             return int(dep.shape[0]), int(unique_cols.shape[0]), ""
         except Exception:
             return int(dep.shape[0]), int(dep.shape[1]), ""

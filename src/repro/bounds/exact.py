@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
-from repro.kernels.dedup import unique_columns
+from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses
 from repro.observability import span
 from repro.utils.errors import ValidationError
@@ -185,7 +185,7 @@ def exact_bound(
         return exact_column_bound(dep, params, deadline=deadline)
     if dep.ndim != 2:
         raise ValidationError(f"dependency must be 1-D or 2-D, got {dep.shape}")
-    unique_cols, counts = _unique_columns(dep)
+    unique_cols, counts = group_columns(dep)
     with span(
         "bound.exact",
         n_sources=params.n_sources,
@@ -224,15 +224,6 @@ def bound_from_pattern_table(
     return BoundResult(
         total=fp + fn, false_positive=fp, false_negative=fn, method="exact"
     )
-
-
-def _unique_columns(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique columns of a 2-D matrix with their multiplicities.
-
-    Thin alias for :func:`repro.kernels.dedup.unique_columns`, kept
-    under the historical private name for the other bound modules.
-    """
-    return unique_columns(matrix)
 
 
 __all__ = [

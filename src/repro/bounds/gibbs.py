@@ -57,9 +57,10 @@ if TYPE_CHECKING:  # deferred to keep the bounds import-light
     from repro.resilience.supervisor import Deadline
 
 from repro import observability
-from repro.bounds.exact import BoundResult, _emission_rates, _unique_columns
+from repro.bounds.exact import BoundResult, _emission_rates
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
+from repro.kernels.dedup import group_columns
 from repro.kernels.gibbs import RATE_EPS, BlockedGibbsChains, GibbsTables
 from repro.parallel.config import ParallelConfig
 from repro.parallel.executor import parallel_map
@@ -370,7 +371,7 @@ def gibbs_bound(
         columns = dep[None, :]
         weights = np.ones(1)
     elif dep.ndim == 2:
-        unique_cols, counts = _unique_columns(dep)
+        unique_cols, counts = group_columns(dep)
         columns = unique_cols
         weights = counts / dep.shape[1]
     else:

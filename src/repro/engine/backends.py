@@ -29,9 +29,11 @@ All three route their hot paths through :mod:`repro.kernels`:
   :mod:`repro.kernels.tables`) and one likelihood pass feeds both the
   posterior and the log likelihood of an ``e_step``;
 * per-column log-likelihoods are computed by the select-based kernels
-  of :mod:`repro.kernels.likelihood`, over the *unique* ``(SC, D)``
-  column pairs when the problem repeats columns
-  (:mod:`repro.kernels.dedup`).
+  of :mod:`repro.kernels.likelihood` over every column.  Unlike the
+  bounds, the backends do not group identical columns: EM problems
+  almost never repeat an ``(SC, D)`` column, and NumPy sums a
+  one-column ``(n, 1)`` block in a different order from an ``(n, m)``
+  one, so a grouped E-step would not keep the lanes' bits.
 
 Every transformation is an exact selection or a reordering-free reuse
 on the 0/1 matrices, so the backends remain bit-for-bit compatible
@@ -42,7 +44,7 @@ careful legacy paths.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +61,6 @@ from repro.engine.statistics import (
     ratio_update,
     stable_posterior,
 )
-from repro.kernels.dedup import ColumnGroups, group_paired_columns
 from repro.kernels.likelihood import (
     coded_dense_column_log_likelihoods,
     coded_masked_column_log_likelihoods,
@@ -103,7 +104,9 @@ def _dense_partition_ratio(
 
     Module-level (rather than a closure in ``m_step``) so the
     per-iteration path does not rebuild four function objects per call;
-    the computation is verbatim the historical closure body.
+    the computation is verbatim the historical closure body.  The
+    independence model's two ratios over its unmasked cells are the
+    same computation, so :class:`MaskedDenseBackend` uses it too.
     """
     return ratio_update(
         claims @ weight,
@@ -137,22 +140,6 @@ def _csr_partition_ratio(
     )
 
 
-def _masked_partition_ratio(
-    sc_mask: np.ndarray,
-    mask: np.ndarray,
-    weight: np.ndarray,
-    smoothing: float,
-    fallback: np.ndarray,
-) -> np.ndarray:
-    """One independence-model ratio over unmasked cells (EM/EM-Social)."""
-    return ratio_update(
-        sc_mask @ weight,
-        mask @ weight,
-        smoothing=smoothing,
-        fallback=fallback,
-    )
-
-
 def _masked_legacy_log_likelihoods(
     sc: np.ndarray, mask: np.ndarray, tables: IndependenceLogTables
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,21 +156,6 @@ def _masked_legacy_log_likelihoods(
         sc * tables.log_b[:, None] + (1 - sc) * tables.log_1b[:, None]
     )
     return log_true.sum(axis=0), log_false.sum(axis=0)
-
-
-def _paired_groups(
-    top: np.ndarray, bottom: np.ndarray
-) -> Tuple[Optional[ColumnGroups], np.ndarray, np.ndarray]:
-    """Column groups for a (claims, mask) pair, or pass-through.
-
-    Returns ``(groups, top_k, bottom_k)`` where ``groups`` is ``None``
-    when grouping would not reduce the column count (then the original
-    boolean matrices come back and the caller skips the scatter).
-    """
-    groups, unique_top, unique_bottom = group_paired_columns(top, bottom)
-    if not groups.collapsed:
-        return None, top, bottom
-    return groups, unique_top != 0, unique_bottom != 0
 
 
 class DenseBackend:
@@ -205,17 +177,11 @@ class DenseBackend:
         # Masked claim products, built once instead of once per M-step.
         self.sc_indep = self.sc * self.indep
         self.sc_dep = self.sc * self.dep
-        self._sc_bool = self.sc != 0
-        self._dep_bool = self.dep != 0
-        self._groups, sc_cols, dep_cols = _paired_groups(
-            self._sc_bool, self._dep_bool
-        )
-        # Flat gather indices driving the take kernels, over the unique
-        # (SC, D) column pairs when the problem repeats columns.
-        self._codes = flat_claim_codes(sc_cols, dep_cols)
-        self._masked_codes = flat_claim_codes(
-            sc_cols, ~np.asarray(dep_cols, dtype=bool)
-        )
+        # Flat gather indices driving the take kernels.
+        sc_bool = self.sc != 0
+        dep_bool = self.dep != 0
+        self._codes = flat_claim_codes(sc_bool, dep_bool)
+        self._masked_codes = flat_claim_codes(sc_bool, ~dep_bool)
 
     @property
     def n_sources(self) -> int:
@@ -280,17 +246,12 @@ class DenseBackend:
     def _column_log_likelihoods(
         self, params: SourceParameters
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column log likelihoods over the deduplicated columns."""
+        """Per-column log likelihoods of the dependency-aware model."""
         tables = LogParameterTables.build(params)
         if not tables.finite:
             # Unclamped degenerate θ: careful legacy path.
             return column_log_likelihoods(self.sc, self.dep, params)
-        log_true, log_false = coded_dense_column_log_likelihoods(
-            self._codes, tables
-        )
-        if self._groups is not None:
-            return self._groups.expand(log_true), self._groups.expand(log_false)
-        return log_true, log_false
+        return coded_dense_column_log_likelihoods(self._codes, tables)
 
     def posterior(self, params: SourceParameters) -> np.ndarray:
         """Equation (9) truth posterior for every assertion."""
@@ -349,12 +310,7 @@ class DenseBackend:
         tables = IndependenceLogTables.build(t_rate, b_rate)
         if not tables.finite:
             return _masked_legacy_log_likelihoods(self.sc, self.indep, tables)
-        log_true, log_false = coded_masked_column_log_likelihoods(
-            self._masked_codes, tables
-        )
-        if self._groups is not None:
-            return self._groups.expand(log_true), self._groups.expand(log_false)
-        return log_true, log_false
+        return coded_masked_column_log_likelihoods(self._masked_codes, tables)
 
 
 class CSRBackend:
@@ -378,8 +334,7 @@ class CSRBackend:
 
     which again touch only stored entries.  The two ``D @ weight``
     products are computed once per M-step (they feed two ratios each)
-    and log-parameter tables once per θ.  Column dedup is not applied here — sparse
-    transpose products already touch only stored entries.
+    and log-parameter tables once per θ.
     """
 
     def __init__(
@@ -400,6 +355,11 @@ class CSRBackend:
         self.dep = problem.dependency.astype(np.float64)
         self.sc_dep = sc.multiply(self.dep).tocsr()  # dependent claims
         self.sc_indep = (sc - self.sc_dep).tocsr()  # independent claims
+        # Sources whose every cell is dependent: their subtracted
+        # independent-cell mass is a rounding residue, not 0.
+        self._all_dependent = (
+            np.asarray(self.dep.sum(axis=1)).ravel() == self.dep.shape[1]
+        )
 
     @property
     def n_sources(self) -> int:
@@ -426,6 +386,16 @@ class CSRBackend:
     def support_counts(self) -> np.ndarray:
         return np.asarray(self.sc_indep.sum(axis=0)).ravel()
 
+    def _independent_mass(self, total: float, dependent: np.ndarray) -> np.ndarray:
+        """Each source's weight over its independent cells, ``Σ_j w_j − (D w)_i``.
+
+        Exactly 0 for a source with no independent cell, so its ratio
+        keeps the fallback as the dense backend's does.
+        """
+        mass = total - dependent
+        mass[self._all_dependent] = 0.0
+        return mass
+
     def m_step(
         self, posterior: np.ndarray, previous: SourceParameters
     ) -> SourceParameters:
@@ -438,9 +408,11 @@ class CSRBackend:
         dep_y = np.asarray(self.dep @ y_mass).ravel()
 
         s = self.smoothing
-        a = _csr_partition_ratio(self.sc_indep, z_mass, z_total - dep_z, s, previous.a)
+        indep_z = self._independent_mass(z_total, dep_z)
+        indep_y = self._independent_mass(y_total, dep_y)
+        a = _csr_partition_ratio(self.sc_indep, z_mass, indep_z, s, previous.a)
         f = _csr_partition_ratio(self.sc_dep, z_mass, dep_z, s, previous.f)
-        b = _csr_partition_ratio(self.sc_indep, y_mass, y_total - dep_y, s, previous.b)
+        b = _csr_partition_ratio(self.sc_indep, y_mass, indep_y, s, previous.b)
         g = _csr_partition_ratio(self.sc_dep, y_mass, dep_y, s, previous.g)
         z = (
             float(posterior.sum()) / posterior.size
@@ -491,8 +463,9 @@ class CSRBackend:
 
     def masked_rate(self, weight: np.ndarray, previous: np.ndarray) -> np.ndarray:
         numerator = np.asarray(self.sc_indep @ weight).ravel()
-        total = float(weight.sum())
-        denominator = total - np.asarray(self.dep @ weight).ravel()
+        denominator = self._independent_mass(
+            float(weight.sum()), np.asarray(self.dep @ weight).ravel()
+        )
         ratio = ratio_update(
             numerator,
             denominator,
@@ -550,12 +523,7 @@ class MaskedDenseBackend:
         self.smoothing = smoothing
         self.epsilon = epsilon
         self.sc_mask = sc * mask
-        self._sc_bool = np.asarray(sc) != 0
-        self._mask_bool = np.asarray(mask) != 0
-        self._groups, sc_cols, mask_cols = _paired_groups(
-            self._sc_bool, self._mask_bool
-        )
-        self._codes = flat_claim_codes(sc_cols, mask_cols)
+        self._codes = flat_claim_codes(np.asarray(sc) != 0, np.asarray(mask) != 0)
 
     @property
     def n_sources(self) -> int:
@@ -599,8 +567,8 @@ class MaskedDenseBackend:
         y_post = 1.0 - posterior
 
         s = self.smoothing
-        t = _masked_partition_ratio(self.sc_mask, self.mask, z_post, s, previous.t)
-        b = _masked_partition_ratio(self.sc_mask, self.mask, y_post, s, previous.b)
+        t = _dense_partition_ratio(self.sc_mask, z_post, self.mask, s, previous.t)
+        b = _dense_partition_ratio(self.sc_mask, y_post, self.mask, s, previous.b)
         z = (  # sum/size is np.mean's own definition, minus dispatch
             float(z_post.sum()) / z_post.size if z_post.size else previous.z
         )
@@ -612,12 +580,7 @@ class MaskedDenseBackend:
         tables = IndependenceLogTables.build(params.t, params.b)
         if not tables.finite:
             return _masked_legacy_log_likelihoods(self.sc, self.mask, tables)
-        log_true, log_false = coded_masked_column_log_likelihoods(
-            self._codes, tables
-        )
-        if self._groups is not None:
-            return self._groups.expand(log_true), self._groups.expand(log_false)
-        return log_true, log_false
+        return coded_masked_column_log_likelihoods(self._codes, tables)
 
     def posterior(self, params: IndependentParameters) -> np.ndarray:
         log_true, log_false = self._column_log_likelihoods(params)

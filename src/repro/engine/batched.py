@@ -43,10 +43,9 @@ them.  The tricks, each bitwise-neutral:
 Three formulations are deliberately avoided because they break bitwise
 parity: ``(n, m) @ (m, B)`` GEMM and stacked ``(·, m, 2)`` multi-vector
 products evaluate columns with a different accumulation pattern than
-the serial GEMV, and ``np.einsum`` reorders the reduction.  Column
-dedup is also skipped — the dedup expand/scatter is exact, but the
-batched gather is already one flat ``take`` and the dedup bookkeeping
-would be per-lane anyway.
+the serial GEMV, and ``np.einsum`` reorders the reduction.  Like the
+scalar backends, the lanes do not group identical columns (see
+:mod:`repro.engine.backends` for why).
 
 Convergence masking
 -------------------

@@ -7,8 +7,8 @@ loops through it.  The modules are deliberately small and orthogonal:
 =====================  ======================================================
 :mod:`~repro.kernels.tables`       log-parameter tables, built once per θ
                                    (scalar, independence and lane-stacked)
-:mod:`~repro.kernels.dedup`        unique-column grouping shared by the exact
-                                   bound, the Gibbs bound and the E-step
+:mod:`~repro.kernels.dedup`        unique-column grouping for the exact,
+                                   Gibbs and analytic bounds
 :mod:`~repro.kernels.likelihood`   vectorised select-based column
                                    log-likelihoods for binary matrices
 :mod:`~repro.kernels.enumeration`  meet-in-the-middle sum over the ``2^n``
@@ -26,7 +26,7 @@ is pinned by ``tests/kernels`` against ``tests/data/kernel_reference.npz``
 and timed by ``benchmarks/test_kernel_micro.py``.
 """
 
-from repro.kernels.dedup import ColumnGroups, group_columns, group_paired_columns
+from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses
 from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables
 from repro.kernels.likelihood import (
@@ -45,7 +45,6 @@ from repro.kernels.tables import (
 __all__ = [
     "BatchedLogParameterTables",
     "BlockedGibbsChains",
-    "ColumnGroups",
     "GibbsTables",
     "IndependenceLogTables",
     "LogParameterTables",
@@ -53,7 +52,6 @@ __all__ = [
     "dense_column_log_likelihoods",
     "gray_pattern_masses",
     "group_columns",
-    "group_paired_columns",
     "dual_lane_codes",
     "lane_offset_codes",
     "masked_column_log_likelihoods",

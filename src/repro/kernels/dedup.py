@@ -1,31 +1,19 @@
-"""Unique-column grouping shared by the bounds and the E-step.
+"""Unique-column grouping for the error bounds.
 
-A sensing problem routinely contains many assertions with *identical*
-columns: every assertion propagated through the same cascade shares a
-dependency column, and sparse problems repeat whole ``(claim,
-dependency)`` columns.  All per-column kernels in the library —
-the exact bound, the Gibbs chains, the E-step log-likelihoods — depend
-only on the column's content, so identical columns can be computed
-once and broadcast by multiplicity.
+Every assertion propagated through the same cascade shares a
+dependency column, so a D matrix routinely repeats columns.  The
+bounds of Section III depend on a column's content alone: the exact
+bound (Equation 3) and the Gibbs bound (Algorithm 1) of a column are
+functions of that column and θ.  So the bound of the whole matrix is
+the mean of the per-column bounds, and each distinct column is
+evaluated once and weighted by its multiplicity.  Grouping changes the
+number of evaluations, not the result.
 
-Why dedup is safe under column multiplicity
--------------------------------------------
-* **Bounds** average per-column bounds weighted by column count; the
-  bound of a column is a function of that column alone, so grouping
-  changes nothing but the number of evaluations.
-* **E-step** quantities (per-column log-likelihoods, posteriors) are
-  computed on the unique columns and *scattered* back with
-  ``values[..., inverse]`` — an exact copy, so every downstream
-  consumer (including the M-step's weighted sums over all ``m``
-  columns) sees bit-for-bit the values it would have computed on the
-  full matrix.  numpy's pairwise ``sum(axis=0)`` reduces each column
-  independently of its neighbours, so evaluating a column inside the
-  reduced matrix yields the same bits as inside the full one.
+The EM backends do not group columns; see :mod:`repro.engine.backends`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
@@ -33,101 +21,21 @@ import numpy as np
 from repro.observability import count, observe_value
 
 
-@dataclass(frozen=True)
-class ColumnGroups:
-    """The unique columns of a matrix, with multiplicities and scatter map.
+def group_columns(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a 2-D matrix and their multiplicities.
 
-    Attributes
-    ----------
-    unique:
-        ``(K, n)`` array; row ``k`` is the ``k``-th distinct column (in
-        ``np.unique``'s lexicographic row order).
-    counts:
-        ``(K,)`` multiplicities.
-    inverse:
-        ``(m,)`` map from original column index to its group.
+    Returns ``(unique, counts)``: ``unique`` is ``(K, n)``, its row
+    ``k`` the ``k``-th distinct column in ``np.unique``'s lexicographic
+    order, and ``counts`` is ``(K,)``.
     """
-
-    unique: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
-
-    @property
-    def n_unique(self) -> int:
-        return self.unique.shape[0]
-
-    @property
-    def n_columns(self) -> int:
-        return self.inverse.size
-
-    @property
-    def collapsed(self) -> bool:
-        """Whether grouping actually reduced the column count."""
-        return self.n_unique < self.n_columns
-
-    def weights(self) -> np.ndarray:
-        """Column-share weights ``counts / m`` used by the bounds."""
-        return self.counts / max(self.n_columns, 1)
-
-    def expand(self, per_unique: np.ndarray) -> np.ndarray:
-        """Scatter per-unique-column values back to all ``m`` columns.
-
-        ``per_unique`` has the group axis last; the result replaces it
-        with the full column axis.  This is an exact gather — no
-        arithmetic — so dedup never perturbs downstream numerics.
-        """
-        return np.asarray(per_unique)[..., self.inverse]
-
-
-def group_columns(matrix: np.ndarray) -> ColumnGroups:
-    """Group the columns of a 2-D matrix by content."""
     transposed = np.ascontiguousarray(np.asarray(matrix).T)
-    unique, inverse, counts = np.unique(
-        transposed, axis=0, return_inverse=True, return_counts=True
-    )
-    groups = ColumnGroups(
-        unique=unique, counts=counts, inverse=inverse.reshape(-1)
-    )
-    count("kernels.dedup.columns_total", groups.n_columns)
-    count("kernels.dedup.columns_unique", groups.n_unique)
-    if groups.n_columns:
-        observe_value(
-            "kernels.dedup.compression_ratio", groups.n_unique / groups.n_columns
-        )
-    return groups
+    unique, counts = np.unique(transposed, axis=0, return_counts=True)
+    n_columns = transposed.shape[0]
+    count("kernels.dedup.columns_total", n_columns)
+    count("kernels.dedup.columns_unique", unique.shape[0])
+    if n_columns:
+        observe_value("kernels.dedup.compression_ratio", unique.shape[0] / n_columns)
+    return unique, counts
 
 
-def group_paired_columns(
-    top: np.ndarray, bottom: np.ndarray
-) -> Tuple[ColumnGroups, np.ndarray, np.ndarray]:
-    """Group columns of two stacked matrices (e.g. claims over dependency).
-
-    Two columns land in the same group only when *both* their ``top``
-    and ``bottom`` halves agree.  Returns the groups plus the reduced
-    ``(n, K)`` top and bottom matrices (the unique columns, unstacked).
-    """
-    top = np.asarray(top)
-    bottom = np.asarray(bottom)
-    if top.shape != bottom.shape:
-        raise ValueError(
-            f"paired matrices must share a shape, got {top.shape} vs {bottom.shape}"
-        )
-    n = top.shape[0]
-    groups = group_columns(np.vstack([top, bottom]))
-    unique_top = np.ascontiguousarray(groups.unique[:, :n].T)
-    unique_bottom = np.ascontiguousarray(groups.unique[:, n:].T)
-    return groups, unique_top, unique_bottom
-
-
-def unique_columns(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique columns with multiplicities (the historical helper shape)."""
-    groups = group_columns(matrix)
-    return groups.unique, groups.counts
-
-
-__all__ = [
-    "ColumnGroups",
-    "group_columns",
-    "group_paired_columns",
-    "unique_columns",
-]
+__all__ = ["group_columns"]

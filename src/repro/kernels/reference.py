@@ -22,7 +22,7 @@ from repro.bounds.exact import BoundResult, _emission_rates
 from repro.core.model import SourceParameters
 from repro.engine.backends import DenseBackend
 from repro.engine.statistics import ratio_update
-from repro.kernels.dedup import unique_columns
+from repro.kernels.dedup import group_columns
 from repro.utils.rng import RandomState, SeedLike
 
 _RATE_EPS = 1e-12
@@ -66,8 +66,8 @@ def reference_column_log_likelihoods(
 class ReferenceDenseBackend(DenseBackend):
     """`DenseBackend` with every optimised method swapped back to the
     pre-``repro.kernels`` implementation (two full likelihood passes per
-    E-step, per-call mask products in the M-step, no table caching and
-    no column dedup)."""
+    E-step, per-call mask products in the M-step and no table
+    caching)."""
 
     def m_step(self, posterior, previous):
         z_post = posterior
@@ -160,7 +160,7 @@ def reference_exact_bound(
     dep = np.asarray(dependency)
     if dep.ndim == 1:
         dep = dep[:, None]
-    unique_cols, counts = unique_columns(dep)
+    unique_cols, counts = group_columns(dep)
     n = params.n_sources
     k = unique_cols.shape[0]
     rate_true = np.empty((n, k))
@@ -264,7 +264,7 @@ def reference_gibbs_bound(
         columns = dep[None, :]
         weights = np.ones(1)
     else:
-        unique_cols, counts = unique_columns(dep)
+        unique_cols, counts = group_columns(dep)
         columns = unique_cols
         weights = counts / dep.shape[1]
     rate_true = np.empty((columns.shape[0], params.n_sources))

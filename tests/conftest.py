@@ -49,6 +49,27 @@ def small_params() -> SourceParameters:
 
 
 @pytest.fixture
+def same_column_problem() -> SensingProblem:
+    """A (10, 16) problem whose 16 (SC, D) columns are all the same.
+
+    NumPy sums a one-column ``(n, 1)`` block contiguously (pairwise,
+    unrolled), not row by row as it sums an ``(n, m >= 2)`` block.  An
+    E-step that grouped identical columns down to one would therefore
+    sum this problem in a different order from the lanes and the
+    multiply-add, which the parity tests run it through to catch.
+    """
+    rng = np.random.default_rng(0)
+    claims = rng.random(10) < 0.5
+    dependency = rng.random(10) < 0.3
+    return SensingProblem(
+        claims=SourceClaimMatrix(np.repeat(claims[:, None], 16, axis=1).astype(int)),
+        dependency=DependencyMatrix(
+            np.repeat(dependency[:, None], 16, axis=1).astype(int)
+        ),
+    )
+
+
+@pytest.fixture
 def synthetic_dataset():
     """A medium synthetic dataset with fixed seed."""
     return generate_dataset(GeneratorConfig(), seed=1234)

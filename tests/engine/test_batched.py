@@ -200,10 +200,14 @@ class TestBatchedKernelParity:
             assert np.array_equal(log_true[index], expected_true, equal_nan=True)
             assert np.array_equal(log_false[index], expected_false, equal_nan=True)
 
-    def test_e_step_and_m_step_match_scalar_backend(self):
+    def test_e_step_and_m_step_match_scalar_backend(self, same_column_problem):
         problems = [_problem(seed=SEED + k) for k in range(3)]
+        problems.append(same_column_problem)
         backends = [DenseBackend(p) for p in problems]
         params = _random_params(problems[0].n_sources, SEED + 7, 3)
+        params.append(
+            SourceParameters.random(10, np.random.default_rng(0)).clamp(1e-4)
+        )
         batched = BatchedDenseBackend.from_backends(backends)
         stacked = BatchedSourceParameters.stack(params)
         posterior, lls = batched.e_step(stacked)
@@ -490,9 +494,11 @@ class TestRestartModeParity:
 
 
 class TestFitEmExtBatch:
-    def test_each_result_matches_the_scalar_fit(self):
+    def test_each_result_matches_the_scalar_fit(self, same_column_problem):
         problems = [_problem(seed=SEED + k) for k in range(4)]
         seeds = [SEED + 100 + k for k in range(4)]
+        problems.append(same_column_problem)
+        seeds.append(0)
         config = EMConfig(n_restarts=2, init_strategy="random")
         batched = fit_em_ext_batch(problems, seeds=seeds, config=config)
         for problem, seed, result in zip(problems, seeds, batched):

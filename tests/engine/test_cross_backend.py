@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import EMConfig, EMExtEstimator
 from repro.extensions import StreamingEMExt
-from repro.sparse import SparseEMExt, SparseSensingProblem
+from repro.sparse import SparseSensingProblem
 from repro.synthetic import GeneratorConfig, generate_dataset
 
 
@@ -25,7 +25,7 @@ class TestDenseVsSparse:
     def test_posteriors_and_parameters_agree(self, dataset, init_strategy, smoothing):
         config = EMConfig(init_strategy=init_strategy, smoothing=smoothing)
         dense = EMExtEstimator(config, seed=0).fit(dataset.problem.without_truth())
-        sparse = SparseEMExt(config).fit(
+        sparse = EMExtEstimator(config).fit(
             SparseSensingProblem.from_dense(dataset.problem).without_truth()
         )
         np.testing.assert_allclose(dense.scores, sparse.scores, atol=1e-12)
@@ -77,9 +77,34 @@ class TestStagedDeterminism:
 
     def test_sparse_staged_matches_itself(self, dataset):
         problem = SparseSensingProblem.from_dense(dataset.problem).without_truth()
-        first = SparseEMExt().fit(problem)
-        second = SparseEMExt().fit(problem)
+        first = EMExtEstimator().fit(problem)
+        second = EMExtEstimator().fit(problem)
         np.testing.assert_array_equal(first.scores, second.scores)
+
+
+def _assert_masked_paths_match_the_multiply_add(problem, t, b):
+    """Both masked-model paths give the bits of the inline multiply-add."""
+    from repro.baselines.em_independent import IndependentParameters
+    from repro.engine.backends import DenseBackend, MaskedDenseBackend
+
+    dense = DenseBackend(problem)
+    masked = MaskedDenseBackend(dense.sc, dense.indep)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = dense.masked_log_likelihoods(t, b)
+        twin = masked._column_log_likelihoods(IndependentParameters(t=t, b=b, z=0.5))
+        expected = [
+            (
+                dense.indep
+                * (
+                    dense.sc * np.log(rate)[:, None]
+                    + (1 - dense.sc) * np.log1p(-rate)[:, None]
+                )
+            ).sum(axis=0)
+            for rate in (t, b)
+        ]
+    for dense_side, masked_side, reference in zip(got, twin, expected):
+        assert np.array_equal(dense_side, reference, equal_nan=True)
+        assert np.array_equal(masked_side, reference, equal_nan=True)
 
 
 class TestMaskedLegacyFallback:
@@ -87,30 +112,15 @@ class TestMaskedLegacyFallback:
         self, dataset
     ):
         """Unclamped 0/1 rates take one multiply-add fallback on both backends."""
-        from repro.baselines.em_independent import IndependentParameters
-        from repro.engine.backends import DenseBackend, MaskedDenseBackend
-
-        dense = DenseBackend(dataset.problem.without_truth())
+        problem = dataset.problem.without_truth()
         rng = np.random.default_rng(0)
-        t = rng.uniform(0.1, 0.9, dense.n_sources)
-        b = rng.uniform(0.1, 0.9, dense.n_sources)
+        t = rng.uniform(0.1, 0.9, problem.n_sources)
+        b = rng.uniform(0.1, 0.9, problem.n_sources)
         t[0], b[1] = 0.0, 1.0
-        masked = MaskedDenseBackend(dense.sc, dense.indep)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            got = dense.masked_log_likelihoods(t, b)
-            twin = masked._column_log_likelihoods(
-                IndependentParameters(t=t, b=b, z=0.5)
-            )
-            expected = [
-                (
-                    dense.indep
-                    * (
-                        dense.sc * np.log(rate)[:, None]
-                        + (1 - dense.sc) * np.log1p(-rate)[:, None]
-                    )
-                ).sum(axis=0)
-                for rate in (t, b)
-            ]
-        for dense_side, masked_side, reference in zip(got, twin, expected):
-            assert np.array_equal(dense_side, reference, equal_nan=True)
-            assert np.array_equal(masked_side, reference, equal_nan=True)
+        _assert_masked_paths_match_the_multiply_add(problem, t, b)
+
+    def test_same_column_problem_matches_the_equations(self, same_column_problem):
+        """The gather path keeps the multiply-add's bits on repeated columns."""
+        _assert_masked_paths_match_the_multiply_add(
+            same_column_problem, np.linspace(0.2, 0.8, 10), np.linspace(0.1, 0.4, 10)
+        )

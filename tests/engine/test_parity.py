@@ -13,7 +13,7 @@ import pytest
 from repro.baselines import EMIndependent, EMSocial
 from repro.core import EMConfig, EMExtEstimator
 from repro.extensions import StreamingEMExt
-from repro.sparse import SparseEMExt, SparseSensingProblem
+from repro.sparse import SparseSensingProblem
 from repro.synthetic import GeneratorConfig, SyntheticGenerator, generate_dataset
 
 ATOL = 1e-10
@@ -80,7 +80,7 @@ class TestSparseParity:
         problem = SparseSensingProblem.from_dense(
             generate_dataset(GeneratorConfig(), seed=1234).problem
         ).without_truth()
-        result = SparseEMExt(EMConfig(smoothing=0.5)).fit(problem)
+        result = EMExtEstimator(EMConfig(smoothing=0.5)).fit(problem)
         _close(result.scores, reference["sparse_scores"])
         _close(result.parameters.a, reference["sparse_a"])
         _close(result.parameters.z, reference["sparse_z"][0])

@@ -13,10 +13,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro import observability
 from repro.bounds import exact_bound
 from repro.bounds.gibbs import GibbsConfig
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
-from repro.kernels.dedup import group_columns, group_paired_columns, unique_columns
+from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses, table_bytes_estimate
 from repro.kernels.likelihood import (
     claim_codes,
@@ -128,40 +129,29 @@ class TestGatherKernels:
 class TestDedup:
     def test_group_columns_roundtrip(self):
         matrix = np.array([[1, 0, 1, 1], [0, 1, 0, 0]])
-        groups = group_columns(matrix)
-        assert groups.n_unique == 2
-        assert groups.collapsed
-        assert groups.counts.sum() == 4
-        # expand() scatters exactly: per-unique values land on every
-        # original column of the group.
-        per_unique = np.array([10.0, 20.0])
-        expanded = groups.expand(per_unique)
-        rebuilt = groups.unique[groups.inverse].T
-        assert np.array_equal(rebuilt, matrix)
-        assert expanded.shape == (4,)
-        assert set(expanded.tolist()) <= {10.0, 20.0}
+        unique, counts = group_columns(matrix)
+        # Distinct columns come back as rows, in lexicographic order.
+        assert np.array_equal(unique, [[0, 1], [1, 0]])
+        assert counts.tolist() == [1, 3]
+        # Repeating each distinct column by its count rebuilds the
+        # matrix's columns up to order.
+        rebuilt = np.repeat(unique, counts, axis=0)
+        assert sorted(map(tuple, rebuilt)) == sorted(map(tuple, matrix.T))
 
-    def test_paired_grouping_keeps_pairs_distinct(self):
-        top = np.array([[1, 1], [0, 0]])
-        bottom = np.array([[0, 1], [0, 0]])
-        groups, unique_top, unique_bottom = group_paired_columns(top, bottom)
-        # Same top halves, different bottom halves: no collapse.
-        assert groups.n_unique == 2
-        assert unique_top.shape == (2, 2)
-        assert unique_bottom.shape == (2, 2)
-
-    def test_unique_columns_matches_group_columns(self):
+    def test_group_columns_counts_its_columns(self):
+        """The benchmark reads these counters for its compression ratio."""
         matrix = _random_binary((6, 40), seed=7, density=0.3)
-        unique, counts = unique_columns(matrix)
-        groups = group_columns(matrix)
-        assert np.array_equal(unique, groups.unique)
-        assert np.array_equal(counts, groups.counts)
+        matrix[:, 20:] = matrix[:, :20]
+        with observability.observe() as session:
+            unique, counts = group_columns(matrix)
+        metrics = session.metrics
         assert counts.sum() == 40
-
-    def test_weights_are_column_shares(self):
-        matrix = np.array([[1, 1, 0]])
-        groups = group_columns(matrix)
-        assert groups.weights().sum() == pytest.approx(1.0)
+        assert unique.shape[0] <= 20
+        assert metrics.counter("kernels.dedup.columns_total") == 40
+        assert metrics.counter("kernels.dedup.columns_unique") == unique.shape[0]
+        ratio = metrics.histograms["kernels.dedup.compression_ratio"]
+        assert ratio["count"] == 1
+        assert ratio["sum"] == unique.shape[0] / 40
 
 
 class TestGibbsConfigValidation:

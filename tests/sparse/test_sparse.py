@@ -8,7 +8,7 @@ pytest.importorskip("scipy")
 from repro.core import EMConfig, EMExtEstimator
 from repro.datasets import simulate_dataset
 from repro.network.dependency import extract_dependency
-from repro.sparse import SparseEMExt, SparseSensingProblem, extract_dependency_sparse
+from repro.sparse import SparseSensingProblem, extract_dependency_sparse
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ValidationError
 
@@ -68,7 +68,7 @@ class TestSparseEM:
         dense_blind = dataset.problem.without_truth()
         sparse_blind = SparseSensingProblem.from_dense(dataset.problem).without_truth()
         dense_result = EMExtEstimator(seed=0).fit(dense_blind)
-        sparse_result = SparseEMExt().fit(sparse_blind)
+        sparse_result = EMExtEstimator().fit(sparse_blind)
         agreement = (dense_result.decisions == sparse_result.decisions).mean()
         assert agreement > 0.9
         dense_accuracy = (dense_result.decisions == dataset.problem.truth).mean()
@@ -78,7 +78,7 @@ class TestSparseEM:
     def test_posteriors_close_to_dense(self):
         dataset = generate_dataset(GeneratorConfig(), seed=9)
         dense_result = EMExtEstimator(seed=0).fit(dataset.problem.without_truth())
-        sparse_result = SparseEMExt().fit(
+        sparse_result = EMExtEstimator().fit(
             SparseSensingProblem.from_dense(dataset.problem).without_truth()
         )
         # Same staged initialisation and update equations → posteriors
@@ -87,19 +87,15 @@ class TestSparseEM:
             sparse_result.scores, dense_result.scores, atol=0.05
         )
 
-    def test_random_init_rejected(self):
-        with pytest.raises(ValidationError):
-            SparseEMExt(EMConfig(init_strategy="random"))
-
     def test_support_init_runs(self, tiny_problem):
         sparse_problem = SparseSensingProblem.from_dense(tiny_problem).without_truth()
-        result = SparseEMExt(EMConfig(init_strategy="support")).fit(sparse_problem)
+        result = EMExtEstimator(EMConfig(init_strategy="support")).fit(sparse_problem)
         assert result.scores.shape == (2,)
 
     def test_smoothing_supported(self):
         dataset = generate_dataset(GeneratorConfig(), seed=2)
         sparse_blind = SparseSensingProblem.from_dense(dataset.problem).without_truth()
-        result = SparseEMExt(EMConfig(smoothing=1.0)).fit(sparse_blind)
+        result = EMExtEstimator(EMConfig(smoothing=1.0)).fit(sparse_blind)
         assert np.isfinite(result.scores).all()
 
     def test_full_scale_crawl_runs(self):
@@ -109,7 +105,7 @@ class TestSparseEM:
         sparse_blind = SparseSensingProblem.from_dense(
             evaluation.problem
         ).without_truth()
-        result = SparseEMExt(EMConfig(smoothing=1.0, max_iterations=60)).fit(
+        result = EMExtEstimator(EMConfig(smoothing=1.0, max_iterations=60)).fit(
             sparse_blind
         )
         assert result.scores.shape == (evaluation.n_assertions,)
