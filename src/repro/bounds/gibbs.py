@@ -23,13 +23,17 @@ Two estimator modes are offered (DESIGN.md §5.1):
 
 Implementation note: a problem has one bound per *distinct* dependency
 column, so the sampler runs one chain per unique column.  Chains are
-advanced by the blocked vectorised sweeps of
+advanced by the blocked sweeps of
 :class:`repro.kernels.gibbs.BlockedGibbsChains` — each sweep draws the
 latent truth from its exact conditional and then redraws the whole
-claim block at once, so a sweep is a handful of ndarray operations with
-no Python loop over sources.  All rate clamps, log tables and column
-weights are hoisted into :class:`~repro.kernels.gibbs.GibbsTables`,
-built once per run.  (The historical per-source scan sampler survives
+claim block at once — a block of sweeps at a time: one ``rng.random``
+call and two comparisons per block, and per sweep only the truth draw,
+one ``take`` of the drawn claim pattern's log rates and their sums.
+Equation (6) is accumulated per block, in sweep order, and blocks end
+where sampling may stop, so the result is bit for bit that of advancing
+one sweep at a time.  All rate clamps, log tables and column weights are
+hoisted into :class:`~repro.kernels.gibbs.GibbsTables`, built once per
+run.  (The historical per-source scan sampler survives
 as :mod:`repro.kernels.reference` for the benchmark harness; the two
 kernels target the same marginal and agree within Monte-Carlo error,
 but draw different random streams.)
@@ -61,7 +65,7 @@ from repro.bounds.exact import BoundResult, _emission_rates
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
 from repro.kernels.dedup import group_columns
-from repro.kernels.gibbs import RATE_EPS, BlockedGibbsChains, GibbsTables
+from repro.kernels.gibbs import RATE_EPS, BlockedGibbsChains, GibbsTables, block_sweeps
 from repro.parallel.config import ParallelConfig
 from repro.parallel.executor import parallel_map
 from repro.utils.errors import ValidationError
@@ -129,45 +133,64 @@ class GibbsConfig:
 
 
 def _accumulate_bound(chains, weights: np.ndarray, config: GibbsConfig) -> BoundResult:
-    """Advance chains, accumulate Equation (6), stop on convergence.
+    """Advance chains block by block, accumulate Equation (6), stop on convergence.
 
-    ``chains`` is any object with ``sweep()``/``joints()``/``n_chains``
-    — the blocked kernel in production, the frozen scan sampler in the
+    ``chains`` is any object with ``n_chains``, ``n_sources`` and
+    ``advance(count)``, which runs ``count`` sweeps and returns their
+    joints ``(P(s, C=1), P(s, C=0))`` as two ``(count, K)`` arrays — the
+    blocked kernel in production, the frozen scan sampler in the
     benchmark harness.  The accumulation (the estimator itself) is
     identical for both.
-    """
-    for _ in range(config.burn_in):
-        chains.sweep()
 
+    A block holds at most :func:`~repro.kernels.gibbs.block_sweeps`
+    sweeps and ends wherever sampling may stop: after the burn-in, at
+    each convergence check and at ``max_sweeps``.  Sampling therefore
+    stops at the same sweep, having drawn the same uniforms, as it would
+    one sweep at a time.
+    """
     k = chains.n_chains
-    err_sum = np.zeros(k)  # Σ min/(joint1+joint0) per chain
-    fp_sum = np.zeros(k)
-    fn_sum = np.zeros(k)
-    ratio_min = np.zeros(k)  # literal Algorithm 1 accumulators
-    ratio_total = np.zeros(k)
+    block = block_sweeps(k, chains.n_sources)
+    for done in range(0, config.burn_in, block):
+        chains.advance(min(block, config.burn_in - done))
+
+    # Per chain: Σ min/(joint1+joint0), its FP and FN shares, and the
+    # literal Algorithm 1 accumulators Σ min and Σ (joint1+joint0).
+    sums = np.zeros((5, k))
     n_samples = 0
     previous_estimate = None
     trace = [] if config.collect_trace else None
+    next_check = -(-config.min_sweeps // config.check_interval) * config.check_interval
 
     while n_samples < config.max_sweeps:
-        chains.sweep()
-        joint_true, joint_false = chains.joints()
+        count = min(block, min(next_check, config.max_sweeps) - n_samples)
+        joint_true, joint_false = chains.advance(count)
+        n_samples += count
         total_mass = joint_true + joint_false
-        n_samples += 1
         positive = total_mass > 0
         smaller = np.minimum(joint_true, joint_false)
         contribution = np.where(positive, smaller / np.where(positive, total_mass, 1.0), 0.0)
-        err_sum += contribution
         if trace is not None:
             # The per-sweep statistic whose running mean is the bound:
             # weight-averaged posterior error of this sweep's samples.
-            trace.append(float(np.sum(weights * contribution)))
+            # A row sum adds in the same (pairwise) order as one sweep's.
+            trace.extend(np.sum(weights * contribution, axis=1).tolist())
         decide_true = joint_true > joint_false
-        fp_sum += np.where(decide_true, contribution, 0.0)
-        fn_sum += np.where(decide_true, 0.0, contribution)
-        ratio_min += smaller
-        ratio_total += total_mass
-        if n_samples >= config.min_sweeps and n_samples % config.check_interval == 0:
+        terms = np.stack(
+            [
+                contribution,
+                np.where(decide_true, contribution, 0.0),
+                np.where(decide_true, 0.0, contribution),
+                smaller,
+                total_mass,
+            ],
+            axis=1,
+        )
+        # Add the block in sweep order, as per-sweep ``+=`` would: a
+        # pairwise ``sum(axis=0)`` reorders the additions (it does for a
+        # one-chain block), which changes the bits.
+        sums = np.cumsum(np.concatenate([sums[None], terms]), axis=0)[-1]
+        if n_samples == next_check:
+            err_sum, _, _, ratio_min, ratio_total = sums
             estimate = _aggregate(
                 config.mode, err_sum, ratio_min, ratio_total, n_samples, weights
             )
@@ -177,7 +200,9 @@ def _accumulate_bound(chains, weights: np.ndarray, config: GibbsConfig) -> Bound
             ):
                 break
             previous_estimate = estimate
+            next_check += config.check_interval
 
+    err_sum, fp_sum, fn_sum, ratio_min, ratio_total = sums
     total = _aggregate(config.mode, err_sum, ratio_min, ratio_total, n_samples, weights)
     share = fp_sum + fn_sum
     safe_share = np.where(share > 0, share, 1.0)
@@ -361,9 +386,13 @@ def gibbs_bound(
     :func:`repro.data.as_dependency_array`.
 
     ``deadline`` (a :class:`repro.resilience.supervisor.Deadline`) is
-    checked cooperatively at every sweep; the check never touches the
-    random stream, so a run under a never-expiring deadline is
-    bit-identical to a run without one.
+    checked cooperatively once per block of sweeps, so a check comes at
+    most :data:`~repro.kernels.gibbs.BLOCK_SWEEPS` sweeps after the
+    deadline passes; on expiry :class:`~repro.utils.errors.DeadlineExceeded`
+    carries context ``"gibbs-sweep"`` and the sweeps, chains and sources
+    in its progress.  The check never touches the random stream, so a
+    run under a never-expiring deadline is bit-identical to a run
+    without one.
     """
     config = config or GibbsConfig()
     dep = as_dependency_array(dependency)

@@ -153,12 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--deadline", default=None, metavar="SPAN",
         help="wall budget for the computation (e.g. 500ms, 5s, 2m); "
-             "implies --cascade behaviour on expiry",
+             "implies --cascade behaviour on expiry, so the cascade picks "
+             "the tier (not combinable with --method or --n-jobs)",
     )
     bound.add_argument(
         "--cascade", action="store_true",
         help="pick the best affordable tier (exact -> gibbs -> "
-             "analytic) and report any degradation instead of failing",
+             "analytic) and report any degradation instead of failing; "
+             "the cascade picks the tier, so --method and --n-jobs do "
+             "not combine with it",
     )
     _add_observability_flags(bound)
 
@@ -343,6 +346,14 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    cascade = args.cascade or args.deadline is not None
+    if cascade and (args.method != "auto" or args.n_jobs is not None):
+        print(
+            "error: with --cascade or --deadline the cascade picks the tier; "
+            "drop --method and --n-jobs",
+            file=sys.stderr,
+        )
+        return 2
     problem = _load_any_problem(args.problem)
     if not problem.has_truth:
         print(
@@ -356,7 +367,7 @@ def _cmd_bound(args) -> int:
     # format) through repro.data.as_dependency_array.
     dependency = problem
     method = args.method
-    if args.cascade or args.deadline is not None:
+    if cascade:
         deadline = (
             Deadline.after(parse_timespan(args.deadline))
             if args.deadline is not None

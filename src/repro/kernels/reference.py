@@ -248,6 +248,14 @@ class ScanGibbsChains:
             np.exp(self._like_false + self.log_1z),
         )
 
+    def advance(self, count):
+        """``count`` sweeps and their joints: the protocol of the shared accumulator."""
+        joints = np.empty((2, count, self.n_chains))
+        for row in range(count):
+            self.sweep()
+            joints[:, row] = self.joints()
+        return joints[0], joints[1]
+
 
 def reference_gibbs_bound(
     dependency: np.ndarray,

@@ -15,7 +15,7 @@ import pytest
 
 from repro import observability
 from repro.bounds import exact_bound
-from repro.bounds.gibbs import GibbsConfig
+from repro.bounds.gibbs import GibbsConfig, gibbs_bound
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
 from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses, table_bytes_estimate
@@ -260,3 +260,35 @@ class TestEnumerationBudgets:
         estimate = table_bytes_estimate(n, k)
         # An upper bound, and a tight one: the half tables are the peak.
         assert peak <= estimate <= 1.5 * peak
+
+
+class TestGibbsDeadline:
+    """Deadline supervision of the Gibbs bound's blocked chains."""
+
+    CONFIG = GibbsConfig(burn_in=20, min_sweeps=300, max_sweeps=600, collect_trace=True)
+
+    def _case(self, n=10, m=12, seed=7):
+        dependency = _random_binary((n, m), seed=seed, density=0.3)
+        return dependency, SourceParameters.random(n, seed=seed)
+
+    def test_generous_deadline_is_bit_transparent(self):
+        dependency, params = self._case()
+        plain = gibbs_bound(dependency, params, config=self.CONFIG, seed=3)
+        budgeted = gibbs_bound(
+            dependency, params, config=self.CONFIG, seed=3,
+            deadline=Deadline.after(3600),
+        )
+        assert repr(budgeted) == repr(plain)
+
+    def test_expired_deadline_raises_with_sweep_progress(self):
+        dependency, params = self._case()
+        deadline = Deadline.after(1e-4)
+        while not deadline.expired():
+            pass
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            gibbs_bound(dependency, params, config=self.CONFIG, seed=3, deadline=deadline)
+        error = excinfo.value
+        assert error.context == "gibbs-sweep"
+        assert error.progress["n_sweeps"] == 0
+        assert error.progress["n_chains"] == group_columns(dependency)[0].shape[0]
+        assert error.progress["n_sources"] == dependency.shape[0]

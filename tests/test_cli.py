@@ -118,6 +118,29 @@ class TestBound:
         assert code == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_cascade_reports_its_tier(self, problem_file, capsys):
+        assert main(["bound", "--problem", str(problem_file), "--cascade"]) == 0
+        output = capsys.readouterr().out
+        assert "cascade:" in output
+        assert "bound: Err =" in output
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "gibbs", "--deadline", "1ms"],
+            ["--cascade", "--method", "exact"],
+            ["--cascade", "--n-jobs", "1"],
+            ["--deadline", "5s", "--n-jobs", "2"],
+        ],
+    )
+    def test_cascade_rejects_a_method_or_jobs(self, problem_file, capsys, flags):
+        """The cascade picks the tier; it used to drop these flags silently."""
+        code = main(["bound", "--problem", str(problem_file), *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "the cascade picks the tier" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path, capsys):
