@@ -37,23 +37,13 @@ run.  (The historical per-source scan sampler survives
 as :mod:`repro.kernels.reference` for the benchmark harness; the two
 kernels target the same marginal and agree within Monte-Carlo error,
 but draw different random streams.)
-
-Passing ``parallel`` (a :class:`~repro.parallel.ParallelConfig`)
-switches to the *sharded* sampler: each distinct dependency column gets
-its own chain with a ``SeedSequence``-spawned child seed, the chains
-run independently (possibly in worker processes) and the per-column
-bounds are merged by column multiplicity.  Because the shard
-decomposition and child seeds depend only on the problem and the master
-seed — never on ``n_jobs`` — a sharded run is bit-for-bit identical for
-any worker count (the joint default sampler, which advances all chains
-under one RNG, remains the byte-stable single-process path).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -65,18 +55,12 @@ from repro.bounds.exact import BoundResult, _emission_rates
 from repro.core.model import SourceParameters
 from repro.data.coerce import as_dependency_array
 from repro.kernels.dedup import group_columns
-from repro.kernels.gibbs import RATE_EPS, BlockedGibbsChains, GibbsTables, block_sweeps
-from repro.parallel.config import ParallelConfig
-from repro.parallel.executor import parallel_map
+from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables, block_sweeps
 from repro.utils.errors import ValidationError
-from repro.utils.rng import RandomState, SeedLike, spawn_rngs
+from repro.utils.rng import RandomState, SeedLike
 from repro.utils.validation import check_in_choices, check_positive_int
 
 _MODES = ("posterior-mean", "ratio")
-
-#: Re-exported for backwards compatibility; the clamp itself now lives
-#: with the kernel (:data:`repro.kernels.gibbs.RATE_EPS`).
-_RATE_EPS = RATE_EPS
 
 
 @dataclass(frozen=True)
@@ -285,100 +269,18 @@ def _aggregate(
     )
 
 
-def _column_worker(payload):
-    """Run one column's chain to convergence (pool entry point).
-
-    The payload carries an already-built single-row
-    :class:`~repro.kernels.gibbs.GibbsTables` — clamping and log-taking
-    happened once in the parent, not per worker.  The parent's
-    ``Deadline`` travels in the payload: its absolute start instant is
-    meaningful across processes on one machine, so every shard honours
-    the *remaining* budget, not a fresh one.
-
-    With ``collect`` set (the parent had an observability session open)
-    the shard runs under its own session and ships its span trees and
-    metrics snapshot back for in-order replay — the parent's session is
-    not shared with workers.  Returns ``(result, spans, metrics)``.
-    """
-    tables, config, rng, deadline, collect = payload
-    if collect:
-        with observability.observe() as session:
-            result = _run_sampler(tables, np.ones(1), config, rng, deadline)
-        return result, session.export_spans(), session.metrics.snapshot()
-    return _run_sampler(tables, np.ones(1), config, rng, deadline), None, None
-
-
-def merge_column_bounds(
-    results: Sequence[BoundResult], weights: np.ndarray
-) -> BoundResult:
-    """Combine per-column Gibbs bounds by column multiplicity.
-
-    Both estimator modes split each column's total into additive
-    FP/FN shares, so the merged bound is the weighted sum of the
-    shares.  ``n_samples`` reports the longest chain; per-column
-    convergence traces do not concatenate meaningfully and are dropped
-    (use the joint sampler for trace diagnostics).
-    """
-    if len(results) != len(weights):
-        raise ValidationError(
-            f"{len(results)} column results but {len(weights)} weights"
-        )
-    fp = float(sum(w * r.false_positive for w, r in zip(weights, results)))
-    fn = float(sum(w * r.false_negative for w, r in zip(weights, results)))
-    n_samples = max((r.n_samples or 0) for r in results)
-    return BoundResult(
-        total=fp + fn,
-        false_positive=fp,
-        false_negative=fn,
-        method="gibbs",
-        n_samples=n_samples,
-    )
-
-
-def _sharded_bound(
-    tables: GibbsTables,
-    weights: np.ndarray,
-    config: GibbsConfig,
-    seed: SeedLike,
-    parallel: ParallelConfig,
-    deadline: Optional["Deadline"] = None,
-) -> BoundResult:
-    """One independent chain per distinct column, fanned out and merged."""
-    n_columns = tables.n_chains
-    rngs = spawn_rngs(seed, n_columns)
-    collect = observability.enabled()
-    payloads: List[tuple] = [
-        (tables.row(index), config, rngs[index], deadline, collect)
-        for index in range(n_columns)
-    ]
-    with observability.span("bound.gibbs.sharded", n_columns=n_columns):
-        outcomes = parallel_map(_column_worker, payloads, config=parallel)
-        results = []
-        for result, spans, metrics in outcomes:
-            results.append(result)
-            if spans:
-                observability.graft(spans)
-            observability.merge_metrics(metrics)
-    return merge_column_bounds(results, weights)
-
-
 def gibbs_bound(
     dependency: np.ndarray,
     params: SourceParameters,
     *,
     config: Optional[GibbsConfig] = None,
     seed: SeedLike = None,
-    parallel: Optional[ParallelConfig] = None,
     deadline: Optional["Deadline"] = None,
 ) -> BoundResult:
     """Gibbs-approximated bound for a D matrix (or one column).
 
     As with :func:`repro.bounds.exact.exact_bound`, identical dependency
-    columns share a chain.  By default all chains advance together under
-    one RNG; with ``parallel`` each chain runs independently under a
-    ``SeedSequence``-spawned child seed (possibly in worker processes),
-    which makes the result invariant to ``n_jobs`` — see the module
-    docstring.
+    columns share a chain, and all chains advance together under one RNG.
 
     ``dependency`` may be a raw array or column, a
     ``DependencyMatrix``, a scipy sparse matrix, or a whole sensing
@@ -410,8 +312,6 @@ def gibbs_bound(
     for index, column in enumerate(columns):
         rate_true[index], rate_false[index] = _emission_rates(column, params)
     tables = GibbsTables.build(rate_true, rate_false, params.z)
-    if parallel is not None:
-        return _sharded_bound(tables, weights, config, seed, parallel, deadline)
     return _run_sampler(tables, weights, config, RandomState(seed), deadline)
 
 
@@ -434,5 +334,4 @@ __all__ = [
     "GibbsConfig",
     "gibbs_bound",
     "gibbs_column_bound",
-    "merge_column_bounds",
 ]

@@ -23,6 +23,7 @@ from typing import List, Optional
 from repro import observability
 from repro.baselines import ALGORITHM_REGISTRY, make_fact_finder
 from repro.bounds import (
+    MAX_EXACT_SOURCES,
     GibbsConfig,
     bhattacharyya_bounds,
     bound_cascade,
@@ -74,6 +75,8 @@ _EXPERIMENTS = (
     "table1", "table3", "fig3", "fig4", "fig5", "fig6",
     "fig7", "fig8", "fig9", "fig10", "fig11",
 )
+#: The experiments whose trials ``--n-jobs`` or ``--batch`` can run.
+_TRIAL_EXPERIMENTS = ("fig7", "fig8", "fig9", "fig10")
 
 
 def _add_observability_flags(sub: argparse.ArgumentParser) -> None:
@@ -143,25 +146,22 @@ def _build_parser() -> argparse.ArgumentParser:
     bound.add_argument(
         "--method", default="auto",
         choices=("auto", "exact", "gibbs", "bhattacharyya"),
+        help="auto (default): exact up to MAX_EXACT_SOURCES "
+             f"({MAX_EXACT_SOURCES}) sources, gibbs beyond",
     )
     bound.add_argument("--seed", type=int, default=0)
-    bound.add_argument(
-        "--n-jobs", type=int, default=None, metavar="N",
-        help="shard Gibbs chains across N worker processes (-1: all "
-             "cores; results are identical for any N)",
-    )
     bound.add_argument(
         "--deadline", default=None, metavar="SPAN",
         help="wall budget for the computation (e.g. 500ms, 5s, 2m); "
              "implies --cascade behaviour on expiry, so the cascade picks "
-             "the tier (not combinable with --method or --n-jobs)",
+             "the tier (not combinable with --method)",
     )
     bound.add_argument(
         "--cascade", action="store_true",
         help="pick the best affordable tier (exact -> gibbs -> "
              "analytic) and report any degradation instead of failing; "
-             "the cascade picks the tier, so --method and --n-jobs do "
-             "not combine with it",
+             "the cascade picks the tier, so --method does not combine "
+             "with it",
     )
     _add_observability_flags(bound)
 
@@ -181,9 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=_EXPERIMENTS)
     experiment.add_argument(
         "--n-jobs", type=int, default=None, metavar="N",
-        help="fan the experiment's trials (figs 7-10) or Gibbs chains "
-             "(figs 3-5) out across N worker processes (-1: all cores); "
-             "results are identical for any N",
+        help="fan the experiment's trials (figs 7-10) out across N worker "
+             "processes (-1: all cores); results are identical for any N",
     )
     experiment.add_argument(
         "--batch", action="store_true",
@@ -347,10 +346,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_bound(args) -> int:
     cascade = args.cascade or args.deadline is not None
-    if cascade and (args.method != "auto" or args.n_jobs is not None):
+    if cascade and args.method != "auto":
         print(
             "error: with --cascade or --deadline the cascade picks the tier; "
-            "drop --method and --n-jobs",
+            "drop --method",
             file=sys.stderr,
         )
         return 2
@@ -392,7 +391,7 @@ def _cmd_bound(args) -> int:
             )
         return 0
     if method == "auto":
-        method = "exact" if problem.n_sources <= 20 else "gibbs"
+        method = "exact" if problem.n_sources <= MAX_EXACT_SOURCES else "gibbs"
     if method == "bhattacharyya":
         lower, upper = bhattacharyya_bounds(dependency, params)
         print(f"bhattacharyya bracket: [{lower:.6f}, {upper:.6f}]")
@@ -400,13 +399,7 @@ def _cmd_bound(args) -> int:
     if method == "exact":
         result = exact_bound(dependency, params)
     else:
-        result = gibbs_bound(
-            dependency,
-            params,
-            config=GibbsConfig(),
-            seed=args.seed,
-            parallel=_parallel_config(args),
-        )
+        result = gibbs_bound(dependency, params, config=GibbsConfig(), seed=args.seed)
     print(
         f"{result.method} bound: Err = {result.total:.6f} "
         f"(FP {result.false_positive:.6f}, FN {result.false_negative:.6f}); "
@@ -437,18 +430,21 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parallel_config(args):
-    """``--n-jobs`` → a :class:`ParallelConfig` (``None`` when unset)."""
-    n_jobs = getattr(args, "n_jobs", None)
-    if n_jobs is None:
-        return None
-    return ParallelConfig(n_jobs=n_jobs)
-
-
 def _cmd_experiment(args) -> int:
     name = args.name
-    parallel = _parallel_config(args)
-    parallel_kwargs = {"parallel": parallel} if parallel is not None else {}
+    if name not in _TRIAL_EXPERIMENTS and (args.n_jobs is not None or args.batch):
+        print(
+            f"error: --n-jobs and --batch apply to figs 7-10 only, not {name}",
+            file=sys.stderr,
+        )
+        return 2
+    if args.n_jobs is not None and args.batch:
+        print(
+            "error: --batch fits the trials in this process; drop --n-jobs "
+            "or --batch",
+            file=sys.stderr,
+        )
+        return 2
     if name == "table1":
         result = table1_walkthrough()
         print(f"Table I bound: {result.total:.8f} (paper: 0.26980433)")
@@ -462,17 +458,19 @@ def _cmd_experiment(args) -> int:
             "fig4": (figure4_bound_vs_trees, "tau"),
             "fig5": (figure5_bound_vs_odds, "dep-odds"),
         }[name]
-        print(format_bound_comparison(runner[0](**parallel_kwargs), x_label=runner[1]))
+        print(format_bound_comparison(runner[0](), x_label=runner[1]))
     elif name == "fig6":
         print(format_timing(figure6_bound_timing()))
-    elif name in ("fig7", "fig8", "fig9", "fig10"):
+    elif name in _TRIAL_EXPERIMENTS:
         runner = {
             "fig7": figure7_estimator_vs_sources,
             "fig8": figure8_estimator_vs_assertions,
             "fig9": figure9_estimator_vs_trees,
             "fig10": figure10_estimator_vs_odds,
         }[name]
-        kwargs = dict(parallel_kwargs)
+        kwargs = {}
+        if args.n_jobs is not None:
+            kwargs["parallel"] = ParallelConfig(n_jobs=args.n_jobs)
         if args.batch:
             kwargs["trial_mode"] = "batched"
         sweep = runner(**kwargs)

@@ -102,15 +102,12 @@ def bound_comparison_sweep(
     n_trials: Optional[int] = None,
     seed: SeedLike = 0,
     gibbs_config: Optional[GibbsConfig] = None,
-    parallel: Optional[ParallelConfig] = None,
 ) -> List[BoundComparisonRow]:
     """Shared engine of Figures 3–5: exact vs Gibbs bound along a sweep.
 
     For each x value, ``n_trials`` synthetic datasets are generated;
     both bounds are computed with oracle (empirically measured)
-    parameters and averaged.  ``parallel`` shards each Gibbs bound's
-    chains across worker processes
-    (:func:`repro.bounds.gibbs.gibbs_bound`'s sharded mode).
+    parameters and averaged.
     """
     n_trials = n_trials if n_trials is not None else bound_trials()
     gibbs_config = gibbs_config or GibbsConfig(min_sweeps=600, max_sweeps=6000)
@@ -127,11 +124,7 @@ def bound_comparison_sweep(
             dependency = dataset.problem.dependency.values
             exact = exact_bound(dependency, params)
             approx = gibbs_bound(
-                dependency,
-                params,
-                config=gibbs_config,
-                seed=derive_seed(rng),
-                parallel=parallel,
+                dependency, params, config=gibbs_config, seed=derive_seed(rng)
             )
             exact_parts += (
                 exact.total, exact.false_positive, exact.false_negative

@@ -46,8 +46,7 @@ sweep·chain·source cells and :data:`BLOCK_SWEEPS` sweeps
 
 All per-chain constants — the rate clamp, the log-rate table and the
 prior logs — are hoisted into :class:`GibbsTables`, built once per
-sampler run (not per block, and in the sharded path once per *problem*
-rather than once per worker).
+sampler run, not per block.
 """
 
 from __future__ import annotations
@@ -132,16 +131,6 @@ class GibbsTables:
     @property
     def n_sources(self) -> int:
         return self.rate_true.shape[1]
-
-    def row(self, index: int) -> "GibbsTables":
-        """The single-chain slice for sharded per-column sampling."""
-        sel = slice(index, index + 1)
-        return GibbsTables(
-            rate_true=self.rate_true[sel],
-            rate_false=self.rate_false[sel],
-            log_rates=self.log_rates[:, sel],
-            log_prior=self.log_prior,
-        )
 
 
 def _truth_probability(

@@ -1,10 +1,8 @@
 """Process-based parallel execution layer.
 
-The paper's evaluation is embarrassingly parallel three times over:
-Section V-B sweeps hundreds of Monte-Carlo trials per parameter point,
-and Algorithm 1 runs one Gibbs chain per distinct dependency column.
-This package fans both out across worker processes under one
-configuration object,
+The paper's evaluation is embarrassingly parallel: Section V-B sweeps
+hundreds of Monte-Carlo trials per parameter point.  This package fans
+the trials out across worker processes under one configuration object,
 without giving up the library's determinism guarantee:
 
 * :mod:`repro.parallel.config` — :class:`ParallelConfig`
@@ -16,16 +14,15 @@ without giving up the library's determinism guarantee:
 * :mod:`repro.parallel.merge` — merging per-worker failure ledgers and
   telemetry event streams back into the parent in serial order.
 
-**Determinism contract.**  Every parallel entry point draws its random
-numbers in the *parent*, in the same order as the serial code path
-(dataset generation, ``SeedSequence``-derived trial/chain seeds), ships explicit seeds or generators to workers, and consumes
-results in task order.  A run with ``n_jobs=8`` is therefore
-bit-for-bit identical to ``n_jobs=1`` — pinned by
-``tests/parallel/test_parity.py``.
+**Determinism contract.**  The harness draws every random number in
+the *parent*, in the same order as the serial code path (dataset
+generation, ``SeedSequence``-derived trial seeds), ships explicit seeds
+to workers, and consumes results in task order.  A run with
+``n_jobs=8`` is therefore bit-for-bit identical to ``n_jobs=1`` —
+pinned by ``tests/parallel/test_serial_parity.py``.
 
-Entry points: :func:`repro.eval.harness.run_simulation` (``parallel=``),
-:func:`repro.bounds.gibbs.gibbs_bound` (``parallel=``), and the CLI's
-``--n-jobs`` flag.
+Entry points: :func:`repro.eval.harness.run_simulation` (``parallel=``)
+and ``repro experiment fig7|fig8|fig9|fig10 --n-jobs``.
 """
 
 from repro.parallel.config import ParallelConfig, cpu_count

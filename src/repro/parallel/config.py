@@ -2,14 +2,14 @@
 
 One :class:`ParallelConfig` describes *how* a fan-out runs — worker
 count, backend, chunking, worker start method and the per-result
-timeout guard — while the call sites (:func:`repro.eval.harness.run_simulation`,
-:func:`repro.bounds.gibbs.gibbs_bound`) decide *what* is fanned out.
+timeout guard — while the call site
+(:func:`repro.eval.harness.run_simulation`) decides *what* is fanned out.
 
 The determinism contract (docs/ARCHITECTURE.md "Parallelism") is
-deliberately not configurable: every parallel entry point draws its
-random numbers in the parent, in the same order as the serial path, and
-ships explicit seeds or generators to the workers, so results are
-bit-for-bit independent of ``n_jobs``.
+deliberately not configurable: the harness draws its random numbers in
+the parent, in the same order as the serial path, and ships explicit
+seeds to the workers, so results are bit-for-bit independent of
+``n_jobs``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class ParallelConfig:
         job count, minus the pool).
     backend:
         ``"process"`` (worker processes) or ``"serial"`` (in-process
-        execution of the *same* sharded code path — useful for
+        execution of the *same* fanned-out code path — useful for
         debugging a parallel run without processes in the way).
     chunk_size:
         Tasks handed to a worker per dispatch.  ``1`` (default) gives
@@ -108,7 +108,7 @@ class ParallelConfig:
 
     @classmethod
     def serial(cls) -> "ParallelConfig":
-        """In-process execution of the sharded code path."""
+        """In-process execution of the fanned-out code path."""
         return cls(n_jobs=1, backend=BACKEND_SERIAL)
 
     @classmethod

@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from repro.bounds import GibbsConfig, exact_bound, exact_column_bound, gibbs_bound, gibbs_column_bound
 from repro.bounds.exact import BoundResult, _emission_rates
-from repro.bounds.gibbs import _aggregate, _per_chain, _safe_frac, merge_column_bounds
+from repro.bounds.gibbs import _aggregate, _per_chain, _safe_frac
 from repro.core import SourceParameters
 from repro.kernels import gibbs as kernel_gibbs
 from repro.kernels.dedup import group_columns
 from repro.kernels.gibbs import BLOCK_CELLS, BLOCK_SWEEPS, RATE_EPS
-from repro.parallel import ParallelConfig
 from repro.utils.errors import ValidationError
-from repro.utils.rng import RandomState, spawn_rngs
+from repro.utils.rng import RandomState
 
 
 @pytest.fixture
@@ -221,7 +220,7 @@ def _per_sweep_bound(chains, weights, config):
     )
 
 
-def _reference_bound(dependency, params, config, seed, sharded):
+def _reference_bound(dependency, params, config, seed):
     """:func:`gibbs_bound` on the per-sweep reference chains."""
     if dependency.ndim == 1:
         columns, weights = dependency[None, :], np.ones(1)
@@ -231,20 +230,8 @@ def _reference_bound(dependency, params, config, seed, sharded):
     rates = np.zeros((len(columns), 2, params.n_sources))
     for index, column in enumerate(columns):
         rates[index] = _emission_rates(column, params)
-    rate_true, rate_false = rates[:, 0], rates[:, 1]
-    if not sharded:
-        chains = _PerSweepChains(rate_true, rate_false, params.z, RandomState(seed))
-        return _per_sweep_bound(chains, weights, config)
-    rngs = spawn_rngs(seed, len(columns))
-    results = [
-        _per_sweep_bound(
-            _PerSweepChains(rate_true[i : i + 1], rate_false[i : i + 1], params.z, rng),
-            np.ones(1),
-            config,
-        )
-        for i, rng in enumerate(rngs)
-    ]
-    return merge_column_bounds(results, weights)
+    chains = _PerSweepChains(rates[:, 0], rates[:, 1], params.z, RandomState(seed))
+    return _per_sweep_bound(chains, weights, config)
 
 
 @dataclass
@@ -253,8 +240,8 @@ class _Case:
     params: SourceParameters
     config: GibbsConfig
     seed: int
-    #: "matrix", "column" (gibbs_column_bound), "sharded" (one job) or
-    #: "generator" (a caller-owned Generator as the seed).
+    #: "matrix", "column" (gibbs_column_bound) or "generator" (a
+    #: caller-owned Generator as the seed).
     entry: str = "matrix"
     #: Block caps patched into the kernel, so blocks also end at the caps.
     block_sweeps: int = BLOCK_SWEEPS
@@ -266,16 +253,11 @@ def _run(case, blocked):
     seed = np.random.default_rng(case.seed) if case.entry == "generator" else case.seed
     dependency = case.dependency[:, 0] if case.entry == "column" else case.dependency
     if not blocked:
-        result = _reference_bound(
-            dependency, case.params, case.config, seed, case.entry == "sharded"
-        )
+        result = _reference_bound(dependency, case.params, case.config, seed)
     elif case.entry == "column":
         result = gibbs_column_bound(dependency, case.params, config=case.config, seed=seed)
     else:
-        parallel = ParallelConfig(n_jobs=1) if case.entry == "sharded" else None
-        result = gibbs_bound(
-            dependency, case.params, config=case.config, seed=seed, parallel=parallel
-        )
+        result = gibbs_bound(dependency, case.params, config=case.config, seed=seed)
     return result, seed
 
 
@@ -311,7 +293,7 @@ def _gibbs_cases(draw):
         params,
         config,
         draw(st.integers(0, 2**32 - 1)),
-        entry=draw(st.sampled_from(["matrix", "column", "sharded", "generator"])),
+        entry=draw(st.sampled_from(["matrix", "column", "generator"])),
         block_sweeps=draw(st.sampled_from([1, 2, 5, 64, BLOCK_SWEEPS])),
         block_cells=draw(st.sampled_from([1, 40, BLOCK_CELLS])),
     )
@@ -339,15 +321,6 @@ class TestBlockedSamplingBitwise:
             _WALL_CONFIG,
             2,
             entry="column",
-        )
-    )
-    @example(
-        case=_Case(
-            np.array([[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]),
-            SourceParameters.random(3, seed=3),
-            _WALL_CONFIG,
-            3,
-            entry="sharded",
         )
     )
     @example(
@@ -397,3 +370,50 @@ class TestBlockedSamplingBitwise:
         short, long = peak(500), peak(5000)
         assert long <= short + 64 * 1024
         assert long < 4 * 1024 * 1024
+
+
+# -- a bound depends only on the multiset of D's columns ---------------------------
+
+
+@st.composite
+def _column_multiset_cases(draw):
+    n = draw(st.integers(1, 13))
+    m = draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dependency = (rng.random((n, m)) < draw(st.sampled_from([0.2, 0.5, 0.8]))).astype(int)
+    params = SourceParameters.random(n, seed=rng, informative=draw(st.booleans()))
+    config = GibbsConfig(
+        burn_in=draw(st.sampled_from([0, 10])),
+        min_sweeps=40,
+        max_sweeps=draw(st.integers(40, 160)),
+        check_interval=draw(st.integers(1, 40)),
+        mode=draw(st.sampled_from(["posterior-mean", "ratio"])),
+        collect_trace=True,
+    )
+    copies = draw(st.integers(2, 3))
+    return dependency, params, config, rng.permutation(m), copies, draw(st.integers(0, 2**32 - 1))
+
+
+class TestColumnMultisetInvariance:
+    """Permuting, tiling or repeating D's columns changes no bit of either bound."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_column_multiset_cases())
+    def test_bounds_see_only_the_column_multiset(self, case):
+        dependency, params, config, permutation, copies, seed = case
+        variants = [
+            dependency,
+            dependency[:, permutation],
+            np.tile(dependency, (1, copies)),
+            np.repeat(dependency, copies, axis=1),
+        ]
+        gibbs = {
+            repr((r.total, r.false_positive, r.false_negative, r.n_samples, r.estimate_trace))
+            for r in (gibbs_bound(d, params, config=config, seed=seed) for d in variants)
+        }
+        exact = {
+            repr((r.total, r.false_positive, r.false_negative))
+            for r in (exact_bound(d, params) for d in variants)
+        }
+        assert len(gibbs) == 1, gibbs
+        assert len(exact) == 1, exact

@@ -27,7 +27,6 @@ from repro.engine import (
     stable_posterior,
 )
 from repro.kernels.tables import IndependenceLogTables, LogParameterTables
-from repro.parallel import ParallelConfig
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -270,19 +269,12 @@ class TestBoundProperties:
         config = GibbsConfig(
             burn_in=5, min_sweeps=30, max_sweeps=60, check_interval=10
         )
-        # Exercise the joint sampler and the sharded (parallel-layer)
-        # sampler on the same case; both must emit a valid bound.
-        for parallel in (None, ParallelConfig.serial()):
-            result = gibbs_bound(
-                problem.dependency.values,
-                params,
-                config=config,
-                seed=seed,
-                parallel=parallel,
-            )
-            assert result.false_positive >= 0.0
-            assert result.false_negative >= 0.0
-            assert result.total == pytest.approx(
-                result.false_positive + result.false_negative
-            )
-            assert result.total <= 0.5 + 1e-9
+        result = gibbs_bound(
+            problem.dependency.values, params, config=config, seed=seed
+        )
+        assert result.false_positive >= 0.0
+        assert result.false_negative >= 0.0
+        assert result.total == pytest.approx(
+            result.false_positive + result.false_negative
+        )
+        assert result.total <= 0.5 + 1e-9

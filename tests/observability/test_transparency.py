@@ -173,3 +173,22 @@ class TestSpanTreeShape:
         counters = session.metrics.snapshot()["counters"]
         assert counters["em.iterations"] > 0
         assert counters["em.restarts"] > 0
+
+    def test_gibbs_counters_count_one_run_exactly(self):
+        """One sampler run; every sweep, burn-in included, counted once."""
+        dataset = _dataset(21, n_sources=9)
+        params = empirical_parameters(dataset.problem).clamp(1e-4)
+        config = GibbsConfig(
+            burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
+        )
+        with observability.observe() as session:
+            result = gibbs_bound(
+                dataset.problem.dependency.values, params, config=config, seed=9
+            )
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["bounds.gibbs.sampler_runs"] == 1
+        assert counters["bounds.gibbs.samples"] == result.n_samples
+        assert counters["kernels.gibbs.sweeps"] == config.burn_in + result.n_samples
+        root = session.finish()
+        _assert_well_formed(root)
+        assert [c.name for c in root.children] == ["bound.gibbs.sample"]

@@ -15,12 +15,11 @@ import pytest
 
 from repro import observability
 from repro.baselines import make_fact_finder
-from repro.bounds import GibbsConfig, gibbs_bound
 from repro.eval import run_simulation
 from repro.observability import validate_span_tree
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
-from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
+from repro.synthetic import GeneratorConfig
 
 N_JOBS = int(os.environ.get("REPRO_TEST_N_JOBS", "4"))
 
@@ -93,43 +92,6 @@ class TestHarnessObservabilityParity:
         )
         assert not observability.enabled()
         assert result.failures == []
-
-
-class TestGibbsObservabilityParity:
-    def test_sharded_bound_counters_match_serial(self):
-        dataset = generate_dataset(CONFIG, seed=21)
-        params = empirical_parameters(dataset.problem).clamp(1e-4)
-        dependency = dataset.problem.dependency.values
-        config = GibbsConfig(
-            burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
-        )
-
-        def bound(parallel):
-            return gibbs_bound(
-                dependency, params, config=config, seed=9, parallel=parallel
-            )
-
-        # The column-sharded decomposition (any ParallelConfig) runs a
-        # different-but-equal set of samplers than the plain single
-        # sampler, so parity is asserted across sharded variants — the
-        # same contract as the serial-parity wall.
-        results, counter_sets, roots = zip(
-            *(
-                _observed_run(lambda p=parallel: bound(p))
-                for parallel in (
-                    ParallelConfig(n_jobs=1),
-                    ParallelConfig(n_jobs=N_JOBS),
-                    ParallelConfig.serial(),
-                )
-            )
-        )
-        for counters in counter_sets[1:]:
-            assert counters == counter_sets[0]
-        assert counter_sets[0]["kernels.gibbs.sweeps"] > 0
-        assert counter_sets[0]["bounds.gibbs.sampler_runs"] > 0
-        for root in roots:
-            assert validate_span_tree(root) == []
-        assert results[0].total == results[1].total == results[2].total
 
 
 class _FlakySeedFinder:

@@ -1,8 +1,8 @@
 """The serial-parity wall: parallel execution must be bit-for-bit serial.
 
-Every parallel entry point — the simulation harness and the sharded
-Gibbs bound — promises results that are *identical* (not just
-statistically equivalent) for any worker count.
+The parallel entry point — the simulation harness — promises results
+that are *identical* (not just statistically equivalent) for any worker
+count.
 These tests hold the line with exact ``==`` comparisons on floats.
 
 ``REPRO_TEST_N_JOBS`` overrides the non-trivial worker count (CI uses 2
@@ -15,12 +15,11 @@ import os
 import pytest
 
 from repro.baselines import make_fact_finder
-from repro.bounds import GibbsConfig, gibbs_bound
 from repro.engine import TelemetryRecorder
 from repro.eval import run_simulation
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
-from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
+from repro.synthetic import GeneratorConfig
 
 N_JOBS = int(os.environ.get("REPRO_TEST_N_JOBS", "4"))
 
@@ -95,31 +94,6 @@ class TestHarnessParity:
             CONFIG, parallel=ParallelConfig(n_jobs=2, chunk_size=2), **kwargs
         )
         assert _series_dict(serial) == _series_dict(chunked)
-
-
-class TestGibbsParity:
-    def test_sharded_bound_invariant_to_worker_count(self):
-        dataset = generate_dataset(CONFIG, seed=21)
-        params = empirical_parameters(dataset.problem).clamp(1e-4)
-        dependency = dataset.problem.dependency.values
-        config = GibbsConfig(
-            burn_in=20, min_sweeps=100, max_sweeps=400, check_interval=50
-        )
-        results = [
-            gibbs_bound(dependency, params, config=config, seed=9, parallel=parallel)
-            for parallel in (
-                ParallelConfig(n_jobs=1),
-                ParallelConfig(n_jobs=N_JOBS),
-                ParallelConfig.serial(),
-            )
-        ]
-        reference = results[0]
-        for other in results[1:]:
-            assert other.total == reference.total
-            assert other.false_positive == reference.false_positive
-            assert other.false_negative == reference.false_negative
-            assert other.n_samples == reference.n_samples
-        assert 0.0 <= reference.total <= 0.5
 
 
 class _FlakySeedFinder:

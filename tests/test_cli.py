@@ -118,6 +118,17 @@ class TestBound:
         assert code == 2
         assert "truth" in capsys.readouterr().err
 
+    def test_auto_is_exact_up_to_max_exact_sources(self, tmp_path, capsys):
+        """22 sources: auto used to fall back to Gibbs above 20."""
+        path = tmp_path / "wide.json"
+        main(
+            ["generate", "--out", str(path), "--seed", "3", "--n-sources", "22",
+             "--n-assertions", "40", "--with-truth"]
+        )
+        capsys.readouterr()
+        assert main(["bound", "--problem", str(path)]) == 0
+        assert "exact bound: Err =" in capsys.readouterr().out
+
     def test_cascade_reports_its_tier(self, problem_file, capsys):
         assert main(["bound", "--problem", str(problem_file), "--cascade"]) == 0
         output = capsys.readouterr().out
@@ -129,8 +140,6 @@ class TestBound:
         [
             ["--method", "gibbs", "--deadline", "1ms"],
             ["--cascade", "--method", "exact"],
-            ["--cascade", "--n-jobs", "1"],
-            ["--deadline", "5s", "--n-jobs", "2"],
         ],
     )
     def test_cascade_rejects_a_method_or_jobs(self, problem_file, capsys, flags):
@@ -140,6 +149,13 @@ class TestBound:
         captured = capsys.readouterr()
         assert "the cascade picks the tier" in captured.err
         assert captured.out == ""
+
+    def test_has_no_n_jobs(self, problem_file, capsys):
+        """The Gibbs bound has one random stream; argparse refuses the flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bound", "--problem", str(problem_file), "--n-jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--n-jobs" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -167,6 +183,22 @@ class TestExperiment:
     def test_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["experiment", "fig99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--n-jobs", "2"],
+            ["fig3", "--n-jobs", "2"],
+            ["fig6", "--batch"],
+            ["fig7", "--n-jobs", "2", "--batch"],
+        ],
+    )
+    def test_rejects_trial_flags_that_would_do_nothing(self, capsys, argv):
+        """Only figs 7-10 fan out trials, and batched trials stay in-process."""
+        assert main(["experiment", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-jobs" in captured.err
 
 
 class TestObservabilityFlags:
