@@ -5,10 +5,12 @@ The dense matrices of a Table III-size crawl do not fit in memory
 ``repro.data.CsrProblem`` stores only claims and dependent cells (int8
 data arrays) and runs the same dependency-aware EM.  This example
 simulates a half-scale Ukraine crawl (~1 850 assertions over 40 days),
-asks the dataset for its evaluation day directly in CSR format, and
-fact-finds it with ``EMExtEstimator``, which runs a CSR problem on the
-sparse backend — no dense matrices are ever materialised (an accidental
-densification over the budget would raise ``MemoryBudgetError``).
+asks the dataset for its evaluation day directly in CSR format — the
+dependency extractor compresses its claimed and dependent cells
+straight into CSR — and fact-finds it with ``EMExtEstimator``, which
+runs a CSR problem on the sparse backend.  No dense matrices are ever
+materialised (an accidental densification over the budget would raise
+``MemoryBudgetError``).
 
 Requires scipy (``pip install -e '.[sparse]'``).
 
@@ -38,8 +40,9 @@ def main() -> None:
         f"{cascades.retweet_fraction:.0%}"
     )
 
-    # The dataset hands back a CsrProblem directly; every estimator and
-    # bound accepts it through the shared Problem protocol.
+    # The dataset builds a CsrProblem directly from the dependency
+    # pass's cell lists; every estimator and bound accepts it through
+    # the shared Problem protocol.
     evaluation = dataset.evaluation_slice(output_format="csr")
     problem = evaluation.problem
     density = problem.n_claims / (problem.n_sources * problem.n_assertions)

@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.data.memory import check_densify
-from repro.data.protocol import FORMAT_CSR, FORMAT_DENSE, FORMATS, Problem
+from repro.data.protocol import FORMAT_DENSE, FORMATS, Problem
 from repro.utils.errors import ValidationError
 
 #: A consumer's format requirement: one tag or an ordered preference list.

@@ -19,7 +19,7 @@ scipy is an optional dependency, imported lazily with a clear error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 import numpy as np
 

@@ -9,6 +9,7 @@ Table III summary row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -51,6 +52,8 @@ class Tweet:
     retweet_of: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise ValidationError(f"tweet time must be finite, got {self.time}")
         if self.time < 0:
             raise ValidationError(f"tweet time must be non-negative, got {self.time}")
         if self.retweet_of is not None and self.retweet_of == self.tweet_id:

@@ -31,11 +31,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.data.dense import DenseProblem
-from repro.data.protocol import FORMATS, FORMAT_DENSE, Problem
+from repro.data.protocol import FORMAT_DENSE, Problem
 from repro.datasets.schema import AssertionLabel, DatasetSummary, Tweet
 from repro.datasets.vocab import get_vocabulary, render_tweet_text
-from repro.network.dependency import extract_dependency
+from repro.network.dependency import _build_problem
 from repro.network.events import EventLog, Post
 from repro.network.generators import preferential_attachment
 from repro.network.graph import FollowGraph
@@ -210,10 +209,6 @@ class TwitterDataset:
         problem (``"dense"`` by default, ``"csr"`` for crawl-scale
         runs).
         """
-        if output_format not in FORMATS:
-            raise ValidationError(
-                f"output_format must be one of {FORMATS}, got {output_format!r}"
-            )
         tweets = self.evaluation_tweets()
         if not tweets:
             raise ValidationError(
@@ -241,24 +236,21 @@ class TwitterDataset:
         for follower, followee in self.graph.edges():
             if follower in source_index and followee in source_index:
                 subgraph.add_follow(source_index[follower], source_index[followee])
-        claims, dependency = extract_dependency(
-            log,
-            subgraph,
-            n_assertions=len(assertion_ids),
-            policy=policy,
-            source_ids=[f"u{sid}" for sid in source_ids],
-            assertion_ids=[f"a{aid}" for aid in assertion_ids],
-        )
         labels = [self.labels[aid] for aid in assertion_ids]
         truth = np.array(
             [1 if label is AssertionLabel.TRUE else 0 for label in labels],
             dtype=np.int8,
         )
-        problem: Problem = DenseProblem(
-            claims=claims, dependency=dependency, truth=truth
+        problem = _build_problem(
+            log,
+            subgraph,
+            n_assertions=len(assertion_ids),
+            policy=policy,
+            output_format=output_format,
+            truth=truth,
+            source_ids=[f"u{sid}" for sid in source_ids],
+            assertion_ids=[f"a{aid}" for aid in assertion_ids],
         )
-        if output_format != FORMAT_DENSE:
-            problem = problem.csr_view()
         return EvaluationSlice(
             problem=problem,
             labels=labels,

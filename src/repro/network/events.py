@@ -2,20 +2,20 @@
 
 The raw material of social sensing is a stream of posts: *who* asserted
 *what*, *when*, and (for retweets) *via whom*.  The dependency
-extractor (:mod:`repro.network.dependency`) turns an event log plus a
-follow graph into the ``(SC, D)`` matrices the estimators consume, and
+extractor (:mod:`repro.network.dependency`) reads each (source,
+assertion) cell's first report time off an event log and joins it with
+a follow graph into the ``(SC, D)`` matrices the estimators consume;
 the simulated Twitter platform (:mod:`repro.datasets.twitter_sim`)
-produces event logs as its output.
+produces event logs as its output.  A post's time must be finite: a
+NaN or infinite time has no place in the report order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
-import numpy as np
-
-from repro.core.matrix import SourceClaimMatrix
 from repro.utils.errors import DataError, ValidationError
 
 
@@ -40,6 +40,10 @@ class Post:
             raise ValidationError(
                 f"source and assertion ids must be non-negative, got "
                 f"({self.source}, {self.assertion})"
+            )
+        if not math.isfinite(self.time):
+            raise ValidationError(
+                f"post {self.post_id} time must be finite, got {self.time}"
             )
         if self.retweet_of is not None and self.retweet_of == self.post_id:
             raise ValidationError(f"post {self.post_id} cannot retweet itself")
@@ -118,40 +122,6 @@ class EventLog:
     def n_original_posts(self) -> int:
         """Posts that are not retweets."""
         return sum(1 for p in self.posts if not p.is_retweet)
-
-    def first_report_times(
-        self, n_sources: int, n_assertions: int
-    ) -> np.ndarray:
-        """Matrix of each source's earliest report time per assertion.
-
-        Cells without a report hold ``+inf``.
-        """
-        times = np.full((n_sources, n_assertions), np.inf)
-        for post in self.posts:
-            self._check_bounds(post, n_sources, n_assertions)
-            cell = times[post.source, post.assertion]
-            if post.time < cell:
-                times[post.source, post.assertion] = post.time
-        return times
-
-    def to_claim_matrix(
-        self, n_sources: int, n_assertions: int
-    ) -> SourceClaimMatrix:
-        """Collapse the log into a source-claim matrix."""
-        claims: List[Tuple[int, int]] = []
-        for post in self.posts:
-            self._check_bounds(post, n_sources, n_assertions)
-            claims.append((post.source, post.assertion))
-        return SourceClaimMatrix.from_claims(claims, n_sources, n_assertions)
-
-    @staticmethod
-    def _check_bounds(post: Post, n_sources: int, n_assertions: int) -> None:
-        if post.source >= n_sources or post.assertion >= n_assertions:
-            raise DataError(
-                f"post {post.post_id} references source {post.source} / "
-                f"assertion {post.assertion} outside declared shape "
-                f"({n_sources}, {n_assertions})"
-            )
 
     def posts_by_source(self, source: int) -> List[Post]:
         """All posts of one source, in time order."""

@@ -13,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.data.dense import DenseProblem
-from repro.data.protocol import FORMATS, FORMAT_DENSE, Problem
-from repro.network.dependency import extract_dependency
+from repro.data.protocol import FORMAT_DENSE, Problem
+from repro.network.dependency import _build_problem
 from repro.network.events import EventLog, Post
 from repro.network.graph import FollowGraph
 from repro.pipeline.cluster import ClusterResult
 from repro.pipeline.ingest import IngestResult
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_in_choices
 
 
 @dataclass
@@ -67,7 +65,6 @@ def build_problem_from_clusters(
     are attached as ``source_ids`` (``u{id}``), so they survive format
     conversions and serialisation.
     """
-    check_in_choices(output_format, "output_format", FORMATS)
     if len(clusters.assignments) != len(ingest.tweets):
         raise ValidationError(
             f"cluster assignments ({len(clusters.assignments)}) do not match "
@@ -96,16 +93,14 @@ def build_problem_from_clusters(
     for follower, followee in follow_edges:
         if follower != followee and not graph.follows(follower, followee):
             graph.add_follow(follower, followee)
-    claims, dependency = extract_dependency(
+    problem = _build_problem(
         log,
         graph,
         n_assertions=clusters.n_clusters,
         policy=policy,
+        output_format=output_format,
         source_ids=[f"u{user_id}" for user_id in ingest.user_ids],
     )
-    problem: Problem = DenseProblem(claims=claims, dependency=dependency)
-    if output_format != FORMAT_DENSE:
-        problem = problem.csr_view()
     return BuiltProblem(
         problem=problem,
         user_ids=ingest.user_ids,

@@ -7,11 +7,10 @@ container dropped them).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import CsrProblem, DenseProblem
+from repro.data import DenseProblem
 from repro.io.serialization import load_problem, save_problem
 from repro.io.sparse_io import load_sparse_problem, save_sparse_problem
 
@@ -95,8 +94,6 @@ class TestSerialisationRoundTrip:
 class TestLegacyArchives:
     def test_archive_without_ids_loads_with_defaults(self, tmp_path):
         """Pre-data-layer archives carry no id arrays; load still works."""
-        from scipy import sparse
-
         problem = _problem(3, 4, seed=5, with_truth=True, with_ids=False).csr_view()
         path = tmp_path / "legacy.npz"
         claims = problem.claims

@@ -31,6 +31,11 @@ class TestTweet:
         with pytest.raises(ValidationError):
             Tweet(tweet_id=0, user=1, time=-1.0, text="x", assertion=0)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time(self, time):
+        with pytest.raises(ValidationError):
+            Tweet(tweet_id=0, user=1, time=time, text="x", assertion=0)
+
     def test_self_retweet(self):
         with pytest.raises(ValidationError):
             Tweet(tweet_id=3, user=1, time=0.0, text="x", assertion=0, retweet_of=3)

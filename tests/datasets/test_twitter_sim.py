@@ -125,6 +125,16 @@ class TestEvaluationSlice:
         for label, truth in zip(evaluation.labels, evaluation.problem.truth):
             assert truth == (1 if label is AssertionLabel.TRUE else 0)
 
+    @pytest.mark.parametrize("policy", ["direct", "transitive"])
+    def test_csr_slice_is_the_dense_csr_view(self, small_sim, policy):
+        """Claims, dependency, ids and truth all match the dense slice."""
+        pytest.importorskip("scipy")
+        dense = small_sim.evaluation_slice(policy=policy).problem
+        csr = small_sim.evaluation_slice(policy=policy, output_format="csr").problem
+        assert csr.format == "csr"
+        assert csr.has_truth
+        assert csr == dense.csr_view()
+
     def test_slice_has_dependent_claims(self, small_sim):
         """Eval-day cascades must survive the slicing."""
         evaluation = small_sim.evaluation_slice()

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core import EMConfig, EMExtEstimator
+from repro.data import SparseSensingProblem
 from repro.extensions import StreamingEMExt
-from repro.sparse import SparseSensingProblem
 from repro.synthetic import GeneratorConfig, generate_dataset
 
 

@@ -36,9 +36,9 @@ from hypothesis import strategies as st
 from repro.baselines.em_independent import IndependentParameters
 from repro.core import SensingProblem, SourceParameters
 from repro.core.model import DEFAULT_EPSILON
+from repro.data import SparseSensingProblem
 from repro.engine.backends import CSRBackend, DenseBackend, MaskedDenseBackend
 from repro.engine.batched import BatchedDenseBackend, BatchedSourceParameters
-from repro.sparse import SparseSensingProblem
 
 TOLERANCE = 1e-12
 

@@ -12,8 +12,8 @@ import pytest
 
 from repro.baselines import EMIndependent, EMSocial
 from repro.core import EMConfig, EMExtEstimator
+from repro.data import SparseSensingProblem
 from repro.extensions import StreamingEMExt
-from repro.sparse import SparseSensingProblem
 from repro.synthetic import GeneratorConfig, SyntheticGenerator, generate_dataset
 
 ATOL = 1e-10

@@ -140,8 +140,8 @@ class TestBackendAgreement:
     @given(shape=dims, seed=seeds)
     def test_dense_and_csr_backends_compute_the_same_step(self, shape, seed):
         pytest.importorskip("scipy")
+        from repro.data import SparseSensingProblem
         from repro.engine import CSRBackend
-        from repro.sparse import SparseSensingProblem
 
         n_sources, n_assertions = shape
         problem = _problem(n_sources, n_assertions, seed)

@@ -15,7 +15,7 @@ from repro.io import (
     save_result,
     save_tweets,
 )
-from repro.utils.errors import DataError
+from repro.utils.errors import DataError, ValidationError
 
 
 class TestProblemRoundTrip:
@@ -114,6 +114,15 @@ class TestTweetsRoundTrip:
         path = tmp_path / "tweets.jsonl"
         path.write_text(json.dumps({"tweet_id": 0}) + "\n")
         with pytest.raises(DataError):
+            load_tweets(path)
+
+    @pytest.mark.parametrize("time", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_rejected(self, tmp_path, time):
+        """``json`` parses these literals to floats; the tweet refuses them."""
+        path = tmp_path / "tweets.jsonl"
+        record = '{"assertion": 0, "text": "x", "time": %s, "tweet_id": 0, "user": 1}'
+        path.write_text(record % time + "\n")
+        with pytest.raises(ValidationError):
             load_tweets(path)
 
     def test_deterministic_bytes(self, tmp_path):

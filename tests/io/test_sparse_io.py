@@ -5,8 +5,8 @@ import pytest
 
 pytest.importorskip("scipy")
 
+from repro.data import SparseSensingProblem
 from repro.io import load_sparse_problem, save_sparse_problem
-from repro.sparse import SparseSensingProblem
 from repro.utils.errors import DataError
 
 

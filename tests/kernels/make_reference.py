@@ -23,8 +23,8 @@ import pathlib
 import numpy as np
 
 from repro.bounds import exact_bound, gibbs_bound
+from repro.data import SparseSensingProblem
 from repro.engine.backends import CSRBackend, DenseBackend
-from repro.sparse import SparseSensingProblem
 
 from kernels import cases
 

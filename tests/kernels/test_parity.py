@@ -28,8 +28,8 @@ import numpy as np
 import pytest
 
 from repro.bounds import exact_bound, gibbs_bound
+from repro.data import SparseSensingProblem
 from repro.engine.backends import CSRBackend, DenseBackend
-from repro.sparse import SparseSensingProblem
 
 from kernels import cases
 

@@ -1,9 +1,14 @@
 """Tests for dependency-indicator extraction (the Figure 1 semantics)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.network import EventLog, FollowGraph, Post, build_problem, dependency_summary, extract_dependency
+from repro.network.dependency import _build_problem
 from repro.utils.errors import ValidationError
 
 
@@ -137,3 +142,97 @@ class TestHelpers:
         assert summary["n_dependent_claims"] == 1
         assert summary["n_original_claims"] == 3
         assert summary["dependent_claim_fraction"] == pytest.approx(0.25)
+
+
+# -- the Section II-A oracle ------------------------------------------------------
+
+
+def oracle_ancestors(n, edges, policy):
+    """Each source's ancestors: its followees, closed over follow chains
+    under ``"transitive"``; a source is never its own ancestor."""
+    followees = [set() for _ in range(n)]
+    for follower, followee in edges:
+        followees[follower].add(followee)
+    sets = []
+    for i in range(n):
+        found = set(followees[i])
+        while policy == "transitive":
+            grown = found.union(*(followees[a] for a in found))
+            if grown == found:
+                break
+            found = grown
+        sets.append(found - {i})
+    return sets
+
+
+def oracle_matrices(n, m, ancestors, reports):
+    """SC and D cell by cell: a claim is dependent when an ancestor made
+    the same assertion strictly before the source first did; a silent
+    cell is dependent when any ancestor made it at all."""
+    first = {}
+    for source, assertion, time in reports:
+        first[source, assertion] = min(time, first.get((source, assertion), math.inf))
+    sc = np.zeros((n, m), dtype=np.int8)
+    dep = np.zeros((n, m), dtype=np.int8)
+    for i in range(n):
+        for j in range(m):
+            exposures = [first[a, j] for a in ancestors[i] if (a, j) in first]
+            if (i, j) in first:
+                sc[i, j] = 1
+                dep[i, j] = any(time < first[i, j] for time in exposures)
+            else:
+                dep[i, j] = len(exposures) > 0
+    return sc, dep
+
+
+@st.composite
+def social_logs(draw):
+    """A follow graph, cycles allowed, and a log over it: times from a
+    small set (ties), repeated reports of a cell, and assertions nobody
+    makes.  Zero sources or zero assertions give an empty log."""
+    n = draw(st.integers(0, 5))
+    m = draw(st.integers(0, 4))
+    pairs = [(f, e) for f in range(n) for e in range(n) if f != e]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    reports = []
+    if n and m:
+        report = st.tuples(
+            st.integers(0, n - 1), st.integers(0, m - 1), st.integers(0, 3)
+        )
+        reports = draw(st.lists(report, max_size=12))
+    return n, m, edges, reports
+
+
+class TestSection2AOracle:
+    @pytest.mark.parametrize("policy", ["direct", "transitive"])
+    @settings(max_examples=150, deadline=None)
+    @given(world=social_logs())
+    # A tie with the followee is independent; a silent follower is exposed.
+    @example(world=(2, 2, [(0, 1)], [(1, 0, 1), (0, 0, 1), (1, 1, 0)]))
+    # Only the follower's first report counts: the followee came between.
+    @example(world=(2, 1, [(0, 1)], [(0, 0, 0), (1, 0, 1), (0, 0, 2)]))
+    # A follow cycle through three sources.
+    @example(world=(3, 1, [(0, 1), (1, 2), (2, 0)], [(2, 0, 0), (0, 0, 1)]))
+    def test_matches_the_per_cell_loop(self, policy, world):
+        n, m, edges, reports = world
+        graph = FollowGraph.from_edges(n, edges)
+        log = EventLog(
+            posts=[
+                Post(post_id=k, source=s, assertion=a, time=float(t))
+                for k, (s, a, t) in enumerate(reports)
+            ]
+        )
+        ancestors = oracle_ancestors(n, edges, policy)
+        transitive = policy == "transitive"
+        assert [graph.ancestors(i, transitive=transitive) for i in range(n)] == ancestors
+        sc, dep = oracle_matrices(n, m, ancestors, reports)
+
+        claims, dependency = extract_dependency(log, graph, n_assertions=m, policy=policy)
+        assert claims.values.dtype == dependency.values.dtype == np.int8
+        np.testing.assert_array_equal(claims.values, sc)
+        np.testing.assert_array_equal(dependency.values, dep)
+
+        csr = _build_problem(log, graph, n_assertions=m, policy=policy, output_format="csr")
+        assert csr.claims.shape == csr.dependency.shape == (n, m)
+        np.testing.assert_array_equal(csr.claims.toarray(), sc)
+        np.testing.assert_array_equal(csr.dependency.toarray(), dep)

@@ -1,6 +1,5 @@
 """Tests for posts and the event log."""
 
-import numpy as np
 import pytest
 
 from repro.network import EventLog, Post
@@ -26,6 +25,12 @@ class TestPost:
     def test_self_retweet_rejected(self):
         with pytest.raises(ValidationError):
             _post(3, 0, 0, 1.0, retweet_of=3)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        """A post without a finite time has no place in the report order."""
+        with pytest.raises(ValidationError):
+            _post(0, 0, 0, time)
 
 
 class TestEventLog:
@@ -74,27 +79,6 @@ class TestEventLog:
         log = EventLog()
         assert log.n_sources == 0
         assert log.n_assertions == 0
-
-    def test_first_report_times(self):
-        log = EventLog(
-            posts=[_post(0, 0, 0, 3.0), _post(1, 0, 0, 1.0), _post(2, 1, 1, 2.0)]
-        )
-        times = log.first_report_times(2, 2)
-        assert times[0, 0] == 1.0  # earliest of the two reports
-        assert times[1, 1] == 2.0
-        assert np.isinf(times[0, 1])
-
-    def test_first_report_times_out_of_bounds(self):
-        log = EventLog(posts=[_post(0, 5, 0, 1.0)])
-        with pytest.raises(DataError):
-            log.first_report_times(2, 2)
-
-    def test_to_claim_matrix(self):
-        log = EventLog(posts=[_post(0, 0, 1, 1.0), _post(1, 1, 0, 2.0)])
-        matrix = log.to_claim_matrix(2, 2)
-        assert matrix[0, 1] == 1
-        assert matrix[1, 0] == 1
-        assert matrix.n_claims == 2
 
     def test_posts_by_source_and_assertion(self):
         log = EventLog(

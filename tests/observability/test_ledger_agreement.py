@@ -9,8 +9,6 @@ increment the corresponding metrics counters, so the two views must
 match *exactly* — these regressions pin that.
 """
 
-import pytest
-
 from repro import observability
 from repro.bounds import bound_cascade
 from repro.engine import TelemetryRecorder

@@ -12,7 +12,6 @@ the serial-parity wall in ``tests/parallel/``.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,6 +1,5 @@
 """Unit tests of the execution layer: config validation, ordering, containment."""
 
-import multiprocessing
 import os
 
 import pytest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.datasets import Tweet
+from repro.datasets import Tweet, simulate_dataset
 from repro.pipeline import (
     TokenClusterer,
     build_problem_from_clusters,
@@ -85,3 +85,20 @@ class TestBuildProblem:
         clusters = TokenClusterer().cluster(ingest.tweets)
         built = build_problem_from_clusters(ingest, clusters)
         assert built.representatives == clusters.representatives
+
+
+class TestCsrBuild:
+    @pytest.mark.parametrize("policy", ["direct", "transitive"])
+    def test_csr_build_is_the_dense_csr_view(self, policy):
+        """Claims, dependency and source ids all match the dense build."""
+        pytest.importorskip("scipy")
+        tweets = simulate_dataset("kirkuk", scale=0.04, seed=3).tweets
+        ingest = ingest_tweets(tweets)
+        clusters = TokenClusterer().cluster(ingest.tweets)
+        dense = build_problem_from_clusters(ingest, clusters, policy=policy)
+        csr = build_problem_from_clusters(
+            ingest, clusters, policy=policy, output_format="csr"
+        )
+        assert csr.problem.format == "csr"
+        assert csr.problem.n_claims > 0
+        assert csr.problem == dense.problem.csr_view()

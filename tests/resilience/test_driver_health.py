@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import EMConfig, EMExtEstimator
 from repro.engine import EMDriver, RunHealth
-from repro.resilience import FaultInjector, FlakyBackend, InjectedFault, NaNLikelihoodBackend
+from repro.resilience import FaultInjector, FlakyBackend, NaNLikelihoodBackend
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ConvergenceError, ValidationError
 

@@ -1,14 +1,17 @@
-"""Tests for the sparse substrate (problem, EM, extraction)."""
+"""Tests for CSR problems: the container, EM on it, and the CSR build."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-pytest.importorskip("scipy")
+pytest.importorskip("scipy.sparse")
 
 from repro.core import EMConfig, EMExtEstimator
+from repro.data import SparseSensingProblem
 from repro.datasets import simulate_dataset
-from repro.network.dependency import extract_dependency
-from repro.sparse import SparseSensingProblem, extract_dependency_sparse
+from repro.network import EventLog, FollowGraph, Post
+from repro.network.dependency import _build_problem
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ValidationError
 
@@ -113,35 +116,16 @@ class TestSparseEM:
 
 
 class TestSparseExtraction:
-    @pytest.mark.parametrize("policy", ["direct", "transitive"])
-    def test_matches_dense_extractor(self, policy):
-        dataset = simulate_dataset("kirkuk", scale=0.04, seed=3)
-        log = dataset.event_log()
-        n_assertions = dataset.n_assertions
-        dense_claims, dense_dep = extract_dependency(
-            log, dataset.graph, n_assertions=n_assertions, policy=policy
-        )
-        sparse_problem = extract_dependency_sparse(
-            log, dataset.graph, n_assertions=n_assertions, policy=policy
-        )
-        np.testing.assert_array_equal(
-            np.asarray(sparse_problem.claims.todense()), dense_claims.values
-        )
-        np.testing.assert_array_equal(
-            np.asarray(sparse_problem.dependency.todense()), dense_dep.values
-        )
+    """The CSR build of a log and a graph (its matrices are pinned
+    against the Section II-A oracle in ``tests/network``)."""
 
     def test_validation(self):
-        from repro.network import EventLog, FollowGraph, Post
-
         graph = FollowGraph(1)
         log = EventLog(posts=[Post(post_id=0, source=4, assertion=0, time=1.0)])
         with pytest.raises(ValidationError):
-            extract_dependency_sparse(log, graph, n_assertions=1)
+            _build_problem(log, graph, n_assertions=1, output_format="csr")
 
-    def test_truth_attached(self, tiny_problem):
-        from repro.network import EventLog, FollowGraph, Post
-
+    def test_truth_attached(self):
         graph = FollowGraph.from_edges(2, [(0, 1)])
         log = EventLog(
             posts=[
@@ -149,8 +133,57 @@ class TestSparseExtraction:
                 Post(post_id=1, source=0, assertion=0, time=2.0),
             ]
         )
-        problem = extract_dependency_sparse(
-            log, graph, n_assertions=1, truth=np.array([1])
+        problem = _build_problem(
+            log, graph, n_assertions=1, output_format="csr", truth=np.array([1])
         )
+        assert isinstance(problem, SparseSensingProblem)
         assert problem.has_truth
-        assert problem.dependency[0, 0] == 1.0
+        assert problem.dependency[0, 0] == 1
+
+    def test_csr_build_allocates_less_than_one_dense_matrix(self):
+        """The evaluation day of ``examples/full_scale_sparse.py``.
+
+        Given its log and follow graph (rebuilt here as
+        ``evaluation_slice`` builds them), the CSR build's peak traced
+        allocation stays below one n x m int8 matrix.  The dense build
+        of the same log is traced too, so the measurement is shown to
+        see an n x m array when one is made.
+        """
+        dataset = simulate_dataset("ukraine", scale=0.5, seed=11)
+        evaluation = dataset.evaluation_slice(output_format="csr")
+        tweets = sorted(dataset.evaluation_tweets(), key=lambda t: (t.time, t.tweet_id))
+        users = {user: k for k, user in enumerate(sorted({t.user for t in tweets}))}
+        assertions = {a: k for k, a in enumerate(sorted({t.assertion for t in tweets}))}
+        day_start = dataset.spec.evaluation_offset_days
+        log = EventLog(
+            posts=[
+                Post(
+                    post_id=k,
+                    source=users[t.user],
+                    assertion=assertions[t.assertion],
+                    time=t.time - day_start,
+                )
+                for k, t in enumerate(tweets)
+            ]
+        )
+        graph = FollowGraph(len(users))
+        for follower, followee in dataset.graph.edges():
+            if follower in users and followee in users:
+                graph.add_follow(users[follower], users[followee])
+        n, m = len(users), len(assertions)
+        assert (n, m) == (1205, 681)
+
+        _build_problem(log, graph, n_assertions=m, output_format="csr")  # warm-up
+        tracemalloc.start()
+        try:
+            problem = _build_problem(log, graph, n_assertions=m, output_format="csr")
+            csr_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _build_problem(log, graph, n_assertions=m)
+            dense_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (problem.claims != evaluation.problem.claims).nnz == 0
+        assert (problem.dependency != evaluation.problem.dependency).nnz == 0
+        assert dense_peak >= n * m
+        assert csr_peak < n * m

@@ -145,10 +145,10 @@ class TestPoolMode:
 
 class TestEventLogConsistency:
     def test_log_matches_matrix(self, synthetic_dataset):
-        matrix = synthetic_dataset.log.to_claim_matrix(20, 50)
-        np.testing.assert_array_equal(
-            matrix.values, synthetic_dataset.problem.claims.values
-        )
+        """The claim matrix holds exactly the log's (source, assertion) pairs."""
+        pairs = {(p.source, p.assertion) for p in synthetic_dataset.log}
+        rows, cols = np.nonzero(synthetic_dataset.problem.claims.values)
+        assert pairs == set(zip(rows.tolist(), cols.tolist()))
 
     def test_roots_post_before_leaves(self, synthetic_dataset):
         roots = set(synthetic_dataset.forest.roots)

@@ -26,7 +26,6 @@ PACKAGES = [
     "repro.pipeline",
     "repro.resilience",
     "repro.serve",
-    "repro.sparse",
     "repro.synthetic",
     "repro.utils",
 ]
