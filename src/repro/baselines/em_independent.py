@@ -23,7 +23,6 @@ special case of an all-ones mask.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,37 +32,12 @@ from repro.core.model import DEFAULT_EPSILON
 from repro.core.result import EstimationResult
 from repro.data.dense import DenseProblem
 from repro.data.protocol import Problem
-from repro.engine.backends import MaskedDenseBackend
+from repro.engine.backends import IndependentParameters, MaskedDenseBackend
 from repro.engine.driver import EMDriver, IterationCallback
 from repro.engine.initialisation import support_initialisation
 from repro.utils.errors import ValidationError
 from repro.utils.rng import SeedLike
 from repro.utils.validation import check_positive_int
-
-
-@dataclass(frozen=True)
-class IndependentParameters:
-    """θ of the two-parameter independence model: per-source (t, b) and prior z."""
-
-    t: np.ndarray
-    b: np.ndarray
-    z: float
-
-    def clamp(self, epsilon: float = DEFAULT_EPSILON) -> "IndependentParameters":
-        """Push every probability into ``[ε, 1-ε]``."""
-        return IndependentParameters(
-            t=np.clip(self.t, epsilon, 1.0 - epsilon),
-            b=np.clip(self.b, epsilon, 1.0 - epsilon),
-            z=float(np.clip(self.z, epsilon, 1.0 - epsilon)),
-        )
-
-    def max_difference(self, other: "IndependentParameters") -> float:
-        """Largest absolute parameter change (convergence criterion)."""
-        deltas = [abs(self.z - other.z)]
-        if self.t.size:
-            deltas.append(float(np.max(np.abs(self.t - other.t))))
-            deltas.append(float(np.max(np.abs(self.b - other.b))))
-        return max(deltas)
 
 
 class _MaskedIndependentEM(FactFinder):

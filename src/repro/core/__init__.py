@@ -15,7 +15,7 @@ from repro.core.likelihood import (
     data_log_likelihood,
     emission_probability,
     pattern_log_joint,
-    posterior_from_log_likelihoods,
+    posterior_and_log_likelihood,
     posterior_truth,
 )
 from repro.core.matrix import DependencyMatrix, SensingProblem, SourceClaimMatrix
@@ -38,7 +38,7 @@ __all__ = [
     "emission_probability",
     "fit_em_ext_batch",
     "pattern_log_joint",
-    "posterior_from_log_likelihoods",
+    "posterior_and_log_likelihood",
     "posterior_truth",
     "run_em_ext",
 ]

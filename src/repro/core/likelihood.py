@@ -15,29 +15,18 @@ Conventions
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+import math
+from typing import Any, Tuple, Union
 
 import numpy as np
 
 from repro.core.matrix import SensingProblem
 from repro.core.model import SourceParameters
-from repro.kernels.likelihood import dense_column_log_likelihoods
-from repro.kernels.tables import LogParameterTables
+from repro.kernels.likelihood import flat_claim_codes, pair_column_log_likelihoods
+from repro.kernels.tables import pair_table
 from repro.utils.errors import ValidationError
 
 ArrayLike = Union[np.ndarray, list]
-
-
-def _log_z_pair(z: float) -> Tuple[float, float]:
-    """``(log z, log(1-z))`` without an errstate round-trip.
-
-    The scalar logs only hit the ``divide`` warning at the closed
-    endpoints, which are handled explicitly; ``log1p(-z)`` is kept for
-    the complement (``log(1 - z)`` would round ``1 - z`` first).
-    """
-    log_z = float(np.log(z)) if z != 0.0 else float("-inf")
-    log_1z = float(np.log1p(-z)) if z != 1.0 else float("-inf")
-    return log_z, log_1z
 
 
 def _is_binary(values: np.ndarray) -> bool:
@@ -57,43 +46,54 @@ def emission_probability(
     return float(rate if sc == 1 else 1.0 - rate)
 
 
-def _emission_log_rates(
-    d: np.ndarray, params: SourceParameters
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cell log emission rates for the four (claim, truth) combinations.
+def _multiply_add_columns(
+    sc: np.ndarray, d: np.ndarray, params: SourceParameters
+) -> np.ndarray:
+    """Equations (4)/(5) in multiply-add form, for non-binary ``SC`` or ``D``.
 
-    Returns ``(log_p1_true, log_p0_true, log_p1_false, log_p0_false)``
-    where e.g. ``log_p1_true[i, j]`` is the log-probability that source
-    ``i`` claims assertion ``j`` given the assertion is true, under the
-    cell's dependency flag.
+    Fractional entries weight the two log rates of each cell; on 0/1
+    input the selection in :func:`pair_column_log_likelihoods` is the
+    defining form.  Returns ``(…, 2)`` like the gather.
     """
+    def mix(dep_rate: np.ndarray, ind_rate: np.ndarray) -> np.ndarray:
+        if d.ndim == 2:
+            dep_rate, ind_rate = dep_rate[:, None], ind_rate[:, None]
+        return d * dep_rate + (1.0 - d) * ind_rate
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = [
+            (
+                sc * mix(np.log(dep_rate), np.log(ind_rate))
+                + (1.0 - sc) * mix(np.log1p(-dep_rate), np.log1p(-ind_rate))
+            ).sum(axis=0)
+            for dep_rate, ind_rate in ((params.f, params.a), (params.g, params.b))
+        ]
+    return np.stack(columns, axis=-1)
+
+
+def _pair_columns(sc: ArrayLike, d: ArrayLike, params: SourceParameters) -> np.ndarray:
+    """Validated per-column ``[log P(SC_j | C_j = 1), log P(SC_j | C_j = 0)]``.
+
+    ``(m, 2)`` for ``(n, m)`` input, ``(2,)`` for one ``(n,)`` column.
+    """
+    sc = np.asarray(sc, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    with np.errstate(divide="ignore"):
-        log_a, log_1a = np.log(params.a), np.log1p(-params.a)
-        log_b, log_1b = np.log(params.b), np.log1p(-params.b)
-        log_f, log_1f = np.log(params.f), np.log1p(-params.f)
-        log_g, log_1g = np.log(params.g), np.log1p(-params.g)
-
-    def _mix(dep_rate: np.ndarray, ind_rate: np.ndarray) -> np.ndarray:
-        # Broadcast per-source rates over assertions via the D mask.
-        return d * dep_rate[..., None] + (1.0 - d) * ind_rate[..., None]
-
-    if d.ndim == 1:
-        # A single column: rates are (n,) and broadcasting above would
-        # produce (n, n); handle explicitly.
-        mix = lambda dep, ind: d * dep + (1.0 - d) * ind  # noqa: E731
-        return (
-            mix(log_f, log_a),
-            mix(log_1f, log_1a),
-            mix(log_g, log_b),
-            mix(log_1g, log_1b),
+    if sc.shape != d.shape:
+        raise ValidationError(f"sc and d shapes differ: {sc.shape} vs {d.shape}")
+    n = sc.shape[0]
+    if n != params.n_sources:
+        raise ValidationError(
+            f"matrix has {n} sources but parameters describe {params.n_sources}"
         )
-    return (
-        _mix(log_f, log_a),
-        _mix(log_1f, log_1a),
-        _mix(log_g, log_b),
-        _mix(log_1g, log_1b),
+    if not (_is_binary(sc) and _is_binary(d)):
+        return _multiply_add_columns(sc, d, params)
+    # A single column is an (n, 1) problem; the gather sums it in the
+    # same contiguous order as a 1-D sum over the sources.
+    matrix_sc, matrix_d = (sc, d) if sc.ndim == 2 else (sc[:, None], d[:, None])
+    columns = pair_column_log_likelihoods(
+        flat_claim_codes(matrix_sc, matrix_d), pair_table(params._rate_block())
     )
+    return columns if sc.ndim == 2 else columns[0]
 
 
 def column_log_likelihoods(
@@ -107,30 +107,14 @@ def column_log_likelihoods(
 
     Returns
     -------
-    ``(log_p_true, log_p_false)`` — each ``(m,)`` (or scalar arrays for a
+    ``(log_p_true, log_p_false)`` — each ``(m,)`` (or scalars for a
     single column): :math:`\\log P(SC_j \\mid C_j = 1; D, θ)` and
-    :math:`\\log P(SC_j \\mid C_j = 0; D, θ)`.
+    :math:`\\log P(SC_j \\mid C_j = 0; D, θ)`.  On 0/1 input every
+    cell *selects* its log rate, so a rate of exactly 0 or 1 gives the
+    Equation (4)/(5) value (``0`` or ``-inf``) rather than ``0·(-inf)``.
     """
-    sc = np.asarray(sc, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if sc.shape != d.shape:
-        raise ValidationError(f"sc and d shapes differ: {sc.shape} vs {d.shape}")
-    n = sc.shape[0]
-    if n != params.n_sources:
-        raise ValidationError(
-            f"matrix has {n} sources but parameters describe {params.n_sources}"
-        )
-    if sc.ndim == 2:
-        tables = LogParameterTables.build(params)
-        if tables.finite and _is_binary(sc) and _is_binary(d):
-            # Fast path: SC and D are 0/1, so every multiply-add below is
-            # an exact selection — the table-select kernel returns the
-            # bitwise-identical sums with fewer array passes.
-            return dense_column_log_likelihoods(sc != 0, d != 0, tables)
-    log_p1_t, log_p0_t, log_p1_f, log_p0_f = _emission_log_rates(d, params)
-    log_true = sc * log_p1_t + (1.0 - sc) * log_p0_t
-    log_false = sc * log_p1_f + (1.0 - sc) * log_p0_f
-    return log_true.sum(axis=0), log_false.sum(axis=0)
+    columns = _pair_columns(sc, d, params)
+    return columns[..., 0], columns[..., 1]
 
 
 def pattern_log_joint(
@@ -142,9 +126,7 @@ def pattern_log_joint(
     by the error-bound machinery, which reasons about *possible* claim
     patterns rather than observed ones.
     """
-    log_true, log_false = column_log_likelihoods(
-        np.asarray(pattern, dtype=np.float64), np.asarray(d_column, dtype=np.float64), params
-    )
+    log_true, log_false = column_log_likelihoods(pattern, d_column, params)
     with np.errstate(divide="ignore"):
         return (
             float(log_true + np.log(params.z)),
@@ -159,31 +141,8 @@ def posterior_truth(
 
     Computed in log space with a stable log-sum-exp normalisation.
     """
-    log_true, log_false = column_log_likelihoods(
-        problem.claims.values, problem.dependency.values, params
-    )
-    return posterior_from_log_likelihoods(log_true, log_false, params.z)
-
-
-def posterior_from_log_likelihoods(
-    log_true: np.ndarray, log_false: np.ndarray, z: float
-) -> np.ndarray:
-    """Stable Bayes posterior from per-column log likelihoods and prior ``z``."""
-    log_z, log_1z = _log_z_pair(z)
-    joint_true = np.asarray(log_true, dtype=np.float64) + log_z
-    joint_false = np.asarray(log_false, dtype=np.float64) + log_1z
-    top = np.maximum(joint_true, joint_false)
-    if np.isfinite(top).all():
-        # Hot path (every EM iteration lands here): at least one joint
-        # per column is finite, so the log-sum-exp needs no guards.
-        num = np.exp(joint_true - top)
-        return num / (num + np.exp(joint_false - top))
-    # Columns where both joints are -inf (possible when z ∈ {0,1} meets a
-    # zero-probability pattern) get an uninformative 0.5 posterior.
-    with np.errstate(invalid="ignore"):
-        num = np.exp(joint_true - top)
-        den = num + np.exp(joint_false - top)
-        return np.where(np.isfinite(top), num / den, 0.5)
+    columns = _pair_columns(problem.claims.values, problem.dependency.values, params)
+    return posterior_and_log_likelihood(columns, params.z)[0]
 
 
 def data_log_likelihood(problem: SensingProblem, params: SourceParameters) -> float:
@@ -192,38 +151,76 @@ def data_log_likelihood(problem: SensingProblem, params: SourceParameters) -> fl
     The sum over assertions of
     :math:`\\log \\sum_{C_j∈\\{0,1\\}} P(SC_j|C_j; D, θ) P(C_j; θ)`.
     """
-    log_true, log_false = column_log_likelihoods(
-        problem.claims.values, problem.dependency.values, params
-    )
-    return log_likelihood_from_log_columns(log_true, log_false, params.z)
+    columns = _pair_columns(problem.claims.values, problem.dependency.values, params)
+    return posterior_and_log_likelihood(columns, params.z)[1]
 
 
-def log_likelihood_from_log_columns(
-    log_true: np.ndarray, log_false: np.ndarray, z: float
-) -> float:
-    """Equation (7) from per-column log likelihoods and the prior ``z``.
+def _log_prior(z: Union[float, np.ndarray]) -> Tuple[Any, Any]:
+    """``(log z, log(1 - z))`` to add to ``(…, m)`` per-column log likelihoods.
 
-    The stable log-sum-exp tail shared by :func:`data_log_likelihood`
-    and the engine backends, letting an E-step reuse one likelihood
-    pass for both the posterior and :math:`\\mathcal{L}`.
+    ``z`` is one prior, or an ``(L,)`` array of one prior per lane (the
+    logs then come back as ``(L, 1)`` columns).  ``log1p(-z)`` keeps the
+    complement exact (``log(1 - z)`` would round ``1 - z`` first), and
+    both logs are NumPy's, whose bits the ``math`` module does not
+    always match.
     """
-    log_z, log_1z = _log_z_pair(z)
-    joint_true = np.asarray(log_true, dtype=np.float64) + log_z
-    joint_false = np.asarray(log_false, dtype=np.float64) + log_1z
-    top = np.maximum(joint_true, joint_false)
-    safe_top = np.where(np.isfinite(top), top, 0.0)
-    column_ll = safe_top + np.log(
-        np.exp(joint_true - safe_top) + np.exp(joint_false - safe_top)
+    if isinstance(z, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(z)[:, None], np.log1p(np.negative(z))[:, None]
+    return (
+        np.log(z) if z != 0.0 else -np.inf,
+        np.log1p(-z) if z != 1.0 else -np.inf,
     )
-    return float(column_ll.sum())
+
+
+def posterior_and_log_likelihood(
+    columns: np.ndarray, z: Union[float, np.ndarray]
+) -> Tuple[np.ndarray, Union[float, np.ndarray]]:
+    """Equation (9) posterior and Equation (7) log likelihood in one pass.
+
+    ``columns`` holds ``[log P(SC_j | C_j = 1), log P(SC_j | C_j = 0)]``
+    per column, ``(m, 2)`` or ``(L, m, 2)`` for ``L`` lanes with one
+    prior each in ``z``.  Both quantities share the peak-normalised
+    exponentials of one log-sum-exp.  Returns the ``(…, m)`` posterior
+    and the log likelihood: a float, or ``(L,)`` per lane.
+
+    A column whose two joints are both ``-inf`` (``z`` of 0 or 1 meeting
+    a pattern of probability 0) or NaN gets the uninformative posterior
+    0.5 and adds ``-inf`` (or NaN) to the log likelihood.
+    """
+    log_z, log_1z = _log_prior(z)
+    joint_true = columns[..., 0] + log_z
+    joint_false = columns[..., 1] + log_1z
+    top = np.maximum(joint_true, joint_false)
+    if math.isfinite(top.sum()):
+        # Hot path (every EM iteration lands here): each column has a
+        # finite joint, so the log-sum-exp needs no guard.
+        joint_true -= top
+        joint_false -= top
+        exp_true = np.exp(joint_true, out=joint_true)
+        total = exp_true + np.exp(joint_false, out=joint_false)
+        posterior = exp_true / total
+        column_ll = np.log(total, out=total)
+        column_ll += top
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            finite = np.isfinite(top)
+            top = np.where(finite, top, 0.0)
+            exp_true = np.exp(joint_true - top)
+            total = exp_true + np.exp(joint_false - top)
+            posterior = np.where(finite, exp_true / total, 0.5)
+            column_ll = top + np.log(total)
+    log_likelihood = column_ll.sum(axis=-1)
+    if log_likelihood.ndim:
+        return posterior, log_likelihood
+    return posterior, float(log_likelihood)
 
 
 __all__ = [
     "column_log_likelihoods",
     "data_log_likelihood",
     "emission_probability",
-    "log_likelihood_from_log_columns",
     "pattern_log_joint",
-    "posterior_from_log_likelihoods",
+    "posterior_and_log_likelihood",
     "posterior_truth",
 ]

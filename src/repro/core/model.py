@@ -21,7 +21,7 @@ estimator (which infers it) operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -32,6 +32,30 @@ from repro.utils.validation import check_probability, check_probability_array
 #: Default clamping width used to keep parameters away from {0, 1} so
 #: log-likelihoods stay finite.
 DEFAULT_EPSILON = 1e-6
+
+
+def clip_rates(
+    rates: np.ndarray, epsilon: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Clip rates into ``[ε, 1-ε]``: ``np.clip``'s definition, minus its dispatch.
+
+    NaN propagates as through ``np.clip``.  Pass ``out=rates`` to clip a
+    fresh array in place.
+    """
+    clipped = np.maximum(rates, epsilon, out=out)
+    return np.minimum(clipped, 1.0 - epsilon, out=clipped)
+
+
+def clip_probability(value: float, epsilon: float) -> float:
+    """Clip one probability into ``[ε, 1-ε]``, as :func:`clip_rates` would.
+
+    A NaN fails both comparisons and comes back unchanged.
+    """
+    if value < epsilon:
+        return epsilon
+    if value > 1.0 - epsilon:
+        return 1.0 - epsilon
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -64,22 +88,27 @@ class SourceParameters:
         object.__setattr__(self, "z", check_probability(self.z, "z"))
 
     @classmethod
-    def _trusted(
-        cls, a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray, z: float
-    ) -> "SourceParameters":
-        """Construct without re-validation, for provably-valid inputs.
+    def _from_rates(cls, rates: np.ndarray, z: float) -> "SourceParameters":
+        """Adopt a ``(4, n)`` ``[a, b, f, g]`` rate block without re-validation.
 
-        Only for internal call sites whose arrays are fresh float64
-        vectors already known to lie in ``[0, 1]`` (e.g. the output of
-        :meth:`clamp`); the arrays are adopted, not copied.
+        Only for internal call sites whose block is a fresh float64
+        array already known to lie in ``[0, 1]`` (e.g. the output of
+        :meth:`clamp` or an M-step).  The rates become row views of the
+        block, which :meth:`max_difference` and the engine's log tables
+        then read in one call instead of four.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "z", z)
+        self.__dict__.update(
+            a=rates[0], b=rates[1], f=rates[2], g=rates[3], z=z, _rates=rates
+        )
         return self
+
+    def _rate_block(self) -> np.ndarray:
+        """The ``(4, n)`` ``[a, b, f, g]`` block, stacked if not built from one."""
+        rates = self.__dict__.get("_rates")
+        if rates is None:
+            return np.array((self.a, self.b, self.f, self.g))
+        return rates
 
     @property
     def n_sources(self) -> int:
@@ -127,22 +156,12 @@ class SourceParameters:
         """Return a copy with every probability pushed into ``[ε, 1-ε]``."""
         if not 0.0 < epsilon < 0.5:
             raise ValidationError(f"epsilon must be in (0, 0.5), got {epsilon}")
-
-        def _clip(x: np.ndarray) -> np.ndarray:
-            # np.clip's own definition, minus its dispatch overhead —
-            # clamp runs once per EM iteration.
-            return np.minimum(np.maximum(x, epsilon), 1.0 - epsilon)
-
-        # The clipped arrays are fresh float64 vectors inside [ε, 1-ε]
-        # by construction (self was validated at its own construction),
-        # so the usual __post_init__ re-validation would be redundant
-        # work on the hot M-step path.
-        return SourceParameters._trusted(
-            a=_clip(self.a),
-            b=_clip(self.b),
-            f=_clip(self.f),
-            g=_clip(self.g),
-            z=float(np.minimum(np.maximum(self.z, epsilon), 1.0 - epsilon)),
+        # The clipped block is fresh and inside [ε, 1-ε] by construction
+        # (self was validated at its own construction), so the usual
+        # __post_init__ re-validation would be redundant work.
+        return SourceParameters._from_rates(
+            clip_rates(self._rate_block(), epsilon),
+            clip_probability(self.z, epsilon),
         )
 
     def is_finite(self) -> bool:
@@ -172,17 +191,11 @@ class SourceParameters:
                 "cannot compare parameter sets for different source counts: "
                 f"{self.n_sources} vs {other.n_sources}"
             )
-        if self.n_sources:
-            diffs = [
-                float(np.abs(self.a - other.a).max()),
-                float(np.abs(self.b - other.b).max()),
-                float(np.abs(self.f - other.f).max()),
-                float(np.abs(self.g - other.g).max()),
-            ]
-        else:
-            diffs = []
-        diffs.append(abs(self.z - other.z))
-        return max(diffs)
+        delta = abs(self.z - other.z)
+        if not self.n_sources:
+            return delta
+        rates = float(np.abs(self._rate_block() - other._rate_block()).max())
+        return max(rates, delta)
 
     def to_dict(self) -> Dict[str, object]:
         """Serialise to plain Python types (JSON-compatible)."""

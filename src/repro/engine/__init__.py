@@ -62,9 +62,7 @@ from repro.engine.initialisation import (
 from repro.engine.statistics import (
     RATE_NAMES,
     SufficientStatistics,
-    log_likelihood_from_columns,
     ratio_update,
-    stable_posterior,
 )
 from repro.parallel.config import ParallelConfig
 
@@ -86,11 +84,9 @@ __all__ = [
     "RunHealth",
     "SufficientStatistics",
     "TelemetryRecorder",
-    "log_likelihood_from_columns",
     "make_backend",
     "ratio_update",
     "run_batched_lanes",
-    "stable_posterior",
     "staged_initialisation",
     "support_initialisation",
     "support_posterior",

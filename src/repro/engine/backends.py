@@ -21,141 +21,102 @@ Three backends cover the library: :class:`DenseBackend` (ndarray),
 by the EM / EM-Social baselines).  Dense and CSR produce the same
 fixed points; they differ only in float summation order.
 
-All three route their hot paths through :mod:`repro.kernels`:
+An EM iteration at paper sizes costs NumPy call overhead, not
+arithmetic, so the dense backends keep their call count low:
 
 * masked claim products (``SC⊙(1-D)``, ``SC⊙D``, ``SC⊙mask``) are
   precomputed once at construction instead of once per M-step;
-* log-parameter tables are built once per θ (see
-  :mod:`repro.kernels.tables`) and one likelihood pass feeds both the
-  posterior and the log likelihood of an ``e_step``;
-* per-column log-likelihoods are computed by the select-based kernels
-  of :mod:`repro.kernels.likelihood` over every column.  Unlike the
-  bounds, the backends do not group identical columns: EM problems
-  almost never repeat an ``(SC, D)`` column, and NumPy sums a
-  one-column ``(n, 1)`` block in a different order from an ``(n, m)``
-  one, so a grouped E-step would not keep the lanes' bits.
+* an M-step stacks its rates in one ``(4, n)`` (or ``(2, n)``) block:
+  one masked divide, one clamp and, in the driver, one convergence
+  delta cover every rate (:meth:`SourceParameters._from_rates`);
+* an E-step takes the rate logs once into a truth-pair table (see
+  :mod:`repro.kernels.tables`), gathers both truth values of every cell
+  with one ``take`` of the backend's ``(n, m)`` cell codes, and derives
+  the posterior and the log likelihood from one log-sum-exp
+  (:func:`~repro.core.likelihood.posterior_and_log_likelihood`).  The
+  dense model and the independence model share the codes ``2·D + SC``:
+  the independence table gives the ``D = 1`` (missing) cells an exact
+  ``0.0``.  Unlike the bounds, the backends do not group identical
+  columns: EM problems almost never repeat an ``(SC, D)`` column, and
+  NumPy sums a one-column ``(n, 1)`` block in a different order from
+  an ``(n, m)`` one, so a grouped E-step would not keep the lanes'
+  bits.
 
-Every transformation is an exact selection or a reordering-free reuse
-on the 0/1 matrices, so the backends remain bit-for-bit compatible
-with the pre-kernel implementations (pinned by the parity suites).
-Degenerate, unclamped parameters (rates exactly 0/1) fall back to the
-careful legacy paths.
+Every step is an exact selection or an elementwise reuse of the same
+floating-point operations in the same order, so the backends stay bit
+for bit with the pre-kernel implementations (pinned by the parity
+suites).  Selection also covers unclamped rates of exactly 0 or 1,
+which give the Equation (4)/(5) value with no fallback path.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Tuple, Union
 
 import numpy as np
 
-from repro.core.likelihood import (
-    column_log_likelihoods,
-    log_likelihood_from_log_columns,
-    posterior_from_log_likelihoods,
-)
+from repro.core.likelihood import posterior_and_log_likelihood
 from repro.core.matrix import SensingProblem
-from repro.core.model import DEFAULT_EPSILON, SourceParameters
-from repro.engine.statistics import (
-    CountMap,
-    log_likelihood_from_columns,
-    ratio_update,
-    stable_posterior,
+from repro.core.model import (
+    DEFAULT_EPSILON,
+    SourceParameters,
+    clip_probability,
+    clip_rates,
 )
-from repro.kernels.likelihood import (
-    coded_dense_column_log_likelihoods,
-    coded_masked_column_log_likelihoods,
-    flat_claim_codes,
-)
-from repro.kernels.tables import IndependenceLogTables, LogParameterTables
+from repro.engine.statistics import CountMap, ratio_update
+from repro.kernels.likelihood import flat_claim_codes, pair_column_log_likelihoods
+from repro.kernels.tables import pair_table
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.baselines.em_independent import IndependentParameters
     from repro.data.csr import CsrProblem
     from repro.data.protocol import Problem
 
 
-def _check_rates_finite(
-    a: np.ndarray, b: np.ndarray, f: np.ndarray, g: np.ndarray
-) -> None:
+def _matvec(matrix: Any, vector: np.ndarray) -> np.ndarray:
+    """A sparse (or dense) matrix–vector product as a 1-D array."""
+    return np.asarray(matrix @ vector).ravel()
+
+
+def _prior_update(posterior: np.ndarray, previous: Any) -> float:
+    """Equation 14's ``z``: the posterior mean (sum/size, minus ``np.mean``'s dispatch)."""
+    return float(posterior.sum()) / posterior.size if posterior.size else previous.z
+
+
+def _check_rates_finite(*rates: np.ndarray) -> None:
     """Reject NaN rate updates (poisoned inputs) with one aggregate probe.
 
-    M-step ratios are finite by construction, so a NaN in any of the
-    four vectors can only come from NaN claims; summing all four and
-    testing once is an order of magnitude cheaper than per-array
-    validation on this per-iteration path.
+    M-step ratios are posterior-mass fractions in ``[0, 1]``, so a NaN
+    can only come from NaN claims; summing every rate and testing once
+    is an order of magnitude cheaper than per-array validation on this
+    per-iteration path.
     """
-    if np.isnan(float(a.sum()) + float(b.sum()) + float(f.sum()) + float(g.sum())):
+    total = 0.0
+    for rate in rates:
+        total += float(rate.sum())
+    if math.isnan(total):
         raise ValidationError(
             "M-step produced non-finite rates; the claim matrix "
             "likely contains NaN or infinite entries"
         )
 
 
-def _dense_partition_ratio(
-    claims: np.ndarray,
-    weight: np.ndarray,
-    mask: np.ndarray,
-    smoothing: float,
-    fallback: np.ndarray,
-) -> np.ndarray:
-    """One dense Equations 10–14 ratio: posterior mass over a cell partition.
+def _dependency_parameters(
+    rates: np.ndarray, z: float, epsilon: float
+) -> SourceParameters:
+    """Guard and clamp a dependency-model M-step's ``(4, n)`` rate block in place.
 
-    Module-level (rather than a closure in ``m_step``) so the
-    per-iteration path does not rebuild four function objects per call;
-    the computation is verbatim the historical closure body.  The
-    independence model's two ratios over its unmasked cells are the
-    same computation, so :class:`MaskedDenseBackend` uses it too.
+    One NaN probe over the block plus the scalar ``z`` check replace
+    per-array validation; the clamp then re-clips everything anyway.
     """
-    return ratio_update(
-        claims @ weight,
-        mask @ weight,
-        smoothing=smoothing,
-        fallback=fallback,
+    _check_rates_finite(rates)
+    check_probability(z, "z")
+    return SourceParameters._from_rates(
+        clip_rates(rates, epsilon, out=rates), clip_probability(z, epsilon)
     )
-
-
-def _csr_partition_ratio(
-    matrix: Any,
-    weight: np.ndarray,
-    denominator: np.ndarray,
-    smoothing: float,
-    fallback: np.ndarray,
-) -> np.ndarray:
-    """One sparse M-step ratio over a precomputed subtracted denominator.
-
-    The subtracted denominator can undershoot the numerator by float
-    rounding; ``clip_ratio`` keeps the update a rate.  Hoisted from
-    ``CSRBackend.m_step`` for the same reason as
-    :func:`_dense_partition_ratio`.
-    """
-    numerator = np.asarray(matrix @ weight).ravel()
-    return ratio_update(
-        numerator,
-        denominator,
-        smoothing=smoothing,
-        fallback=fallback,
-        clip_ratio=True,
-    )
-
-
-def _masked_legacy_log_likelihoods(
-    sc: np.ndarray, mask: np.ndarray, tables: IndependenceLogTables
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Independence-model column log likelihoods by multiply-add.
-
-    The careful fallback for non-finite tables (unclamped rates exactly
-    0 or 1), where the select-based gather cannot stand in for the
-    products: ``mask * (SC·log r + (1-SC)·log(1-r))`` summed per column.
-    """
-    log_true = mask * (
-        sc * tables.log_t[:, None] + (1 - sc) * tables.log_1t[:, None]
-    )
-    log_false = mask * (
-        sc * tables.log_b[:, None] + (1 - sc) * tables.log_1b[:, None]
-    )
-    return log_true.sum(axis=0), log_false.sum(axis=0)
 
 
 class DenseBackend:
@@ -177,11 +138,8 @@ class DenseBackend:
         # Masked claim products, built once instead of once per M-step.
         self.sc_indep = self.sc * self.indep
         self.sc_dep = self.sc * self.dep
-        # Flat gather indices driving the take kernels.
-        sc_bool = self.sc != 0
-        dep_bool = self.dep != 0
-        self._codes = flat_claim_codes(sc_bool, dep_bool)
-        self._masked_codes = flat_claim_codes(sc_bool, ~dep_bool)
+        # Flat pair-table rows (4·source + 2·D + SC): both models' gathers.
+        self._codes = flat_claim_codes(self.sc != 0, self.dep != 0)
 
     @property
     def n_sources(self) -> int:
@@ -223,54 +181,49 @@ class DenseBackend:
 
         The denominator runs over the union
         :math:`S_iC_1^{D_0} \\cup S_iC_0^{D_0}` — all independent cells.
+        The four ratios are one ``(4, n)`` ``[a, b, f, g]`` block.
         """
         z_post = posterior  # Z_j = P(C_j = 1 | ·)
         y_post = 1.0 - posterior  # Y_j = P(C_j = 0 | ·)
-
-        s = self.smoothing
-        a = _dense_partition_ratio(self.sc_indep, z_post, self.indep, s, previous.a)
-        f = _dense_partition_ratio(self.sc_dep, z_post, self.dep, s, previous.f)
-        b = _dense_partition_ratio(self.sc_indep, y_post, self.indep, s, previous.b)
-        g = _dense_partition_ratio(self.sc_dep, y_post, self.dep, s, previous.g)
-        z = (  # sum/size is np.mean's own definition, minus dispatch
-            float(z_post.sum()) / z_post.size if z_post.size else previous.z
+        rates = ratio_update(
+            np.array(
+                (
+                    self.sc_indep @ z_post,
+                    self.sc_indep @ y_post,
+                    self.sc_dep @ z_post,
+                    self.sc_dep @ y_post,
+                )
+            ),
+            np.array(
+                (
+                    self.indep @ z_post,
+                    self.indep @ y_post,
+                    self.dep @ z_post,
+                    self.dep @ y_post,
+                )
+            ),
+            smoothing=self.smoothing,
+            fallback=previous._rate_block(),
         )
-        # The ratios are posterior-mass fractions in [0, 1] unless the
-        # posterior itself was poisoned (NaN claims), so full per-array
-        # re-validation is replaced by one aggregate NaN probe plus the
-        # scalar z check; clamp re-clips everything anyway.
-        _check_rates_finite(a, b, f, g)
-        check_probability(z, "z")
-        return SourceParameters._trusted(a=a, b=b, f=f, g=g, z=z).clamp(self.epsilon)
+        return _dependency_parameters(
+            rates, _prior_update(posterior, previous), self.epsilon
+        )
 
-    def _column_log_likelihoods(
-        self, params: SourceParameters
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-column log likelihoods of the dependency-aware model."""
-        tables = LogParameterTables.build(params)
-        if not tables.finite:
-            # Unclamped degenerate θ: careful legacy path.
-            return column_log_likelihoods(self.sc, self.dep, params)
-        return coded_dense_column_log_likelihoods(self._codes, tables)
+    def _columns(self, params: SourceParameters) -> np.ndarray:
+        """``(m, 2)`` Equations (4)/(5) log likelihoods of every column."""
+        return pair_column_log_likelihoods(
+            self._codes, pair_table(params._rate_block())
+        )
 
     def posterior(self, params: SourceParameters) -> np.ndarray:
         """Equation (9) truth posterior for every assertion."""
-        log_true, log_false = self._column_log_likelihoods(params)
-        return posterior_from_log_likelihoods(log_true, log_false, params.z)
+        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
 
     def e_step(
         self, params: SourceParameters
     ) -> Tuple[np.ndarray, float]:
-        """Posterior plus the observed-data log likelihood (Equation 7).
-
-        One shared likelihood pass feeds both quantities (historically
-        this ran the full pass twice).
-        """
-        log_true, log_false = self._column_log_likelihoods(params)
-        return (
-            posterior_from_log_likelihoods(log_true, log_false, params.z),
-            log_likelihood_from_log_columns(log_true, log_false, params.z),
-        )
+        """Posterior plus the observed-data log likelihood (Equation 7)."""
+        return posterior_and_log_likelihood(self._columns(params), params.z)
 
     def partition_counts(
         self, posterior: np.ndarray
@@ -299,18 +252,20 @@ class DenseBackend:
             smoothing=self.smoothing,
             fallback=previous,
         )
-        # minimum(maximum(·)) is np.clip's own definition without the
-        # dispatch overhead — this runs twice per stage-one iteration.
-        return np.minimum(np.maximum(ratio, self.epsilon), 1.0 - self.epsilon)
+        return clip_rates(ratio, self.epsilon, out=ratio)
 
     def masked_log_likelihoods(
         self, t_rate: np.ndarray, b_rate: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Column log likelihoods of the independence model, masked to independent cells."""
-        tables = IndependenceLogTables.build(t_rate, b_rate)
-        if not tables.finite:
-            return _masked_legacy_log_likelihoods(self.sc, self.indep, tables)
-        return coded_masked_column_log_likelihoods(self._masked_codes, tables)
+    ) -> np.ndarray:
+        """Independence-model column log likelihoods over independent cells.
+
+        Returns ``(2, m)``: row 0 given a true assertion, row 1 given a
+        false one.  The dependent cells are missing: the independence
+        table gathers an exact ``0.0`` for codes 2 and 3.
+        """
+        return pair_column_log_likelihoods(
+            self._codes, pair_table(np.array((t_rate, b_rate)))
+        ).T
 
 
 class CSRBackend:
@@ -334,7 +289,7 @@ class CSRBackend:
 
     which again touch only stored entries.  The two ``D @ weight``
     products are computed once per M-step (they feed two ratios each)
-    and log-parameter tables once per θ.
+    and the log table once per θ.
     """
 
     def __init__(
@@ -401,96 +356,124 @@ class CSRBackend:
     ) -> SourceParameters:
         z_mass = posterior
         y_mass = 1.0 - posterior
-        z_total = float(z_mass.sum())
-        y_total = float(y_mass.sum())
         # Each D @ weight feeds two ratios; compute them once.
-        dep_z = np.asarray(self.dep @ z_mass).ravel()
-        dep_y = np.asarray(self.dep @ y_mass).ravel()
-
-        s = self.smoothing
-        indep_z = self._independent_mass(z_total, dep_z)
-        indep_y = self._independent_mass(y_total, dep_y)
-        a = _csr_partition_ratio(self.sc_indep, z_mass, indep_z, s, previous.a)
-        f = _csr_partition_ratio(self.sc_dep, z_mass, dep_z, s, previous.f)
-        b = _csr_partition_ratio(self.sc_indep, y_mass, indep_y, s, previous.b)
-        g = _csr_partition_ratio(self.sc_dep, y_mass, dep_y, s, previous.g)
-        z = (
-            float(posterior.sum()) / posterior.size
-            if posterior.size
-            else previous.z
+        dep_z = _matvec(self.dep, z_mass)
+        dep_y = _matvec(self.dep, y_mass)
+        rates = ratio_update(
+            np.array(
+                (
+                    _matvec(self.sc_indep, z_mass),
+                    _matvec(self.sc_indep, y_mass),
+                    _matvec(self.sc_dep, z_mass),
+                    _matvec(self.sc_dep, y_mass),
+                )
+            ),
+            np.array(
+                (
+                    self._independent_mass(float(z_mass.sum()), dep_z),
+                    self._independent_mass(float(y_mass.sum()), dep_y),
+                    dep_z,
+                    dep_y,
+                )
+            ),
+            smoothing=self.smoothing,
+            fallback=previous._rate_block(),
+            clip_ratio=True,
         )
-        # clip_ratio above already forced the updates into [0, 1];
-        # as in the dense backend, guard against poisoned posteriors
-        # without the full per-array re-validation.
-        _check_rates_finite(a, b, f, g)
-        check_probability(z, "z")
-        return SourceParameters._trusted(a=a, b=b, f=f, g=g, z=z).clamp(self.epsilon)
+        return _dependency_parameters(
+            rates, _prior_update(posterior, previous), self.epsilon
+        )
 
-    def _column_log_likelihoods(
-        self, params: SourceParameters
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        t = LogParameterTables.build(params)
+    def _columns(self, params: SourceParameters) -> np.ndarray:
+        """``(m, 2)`` column log likelihoods: a base plus three corrections each."""
+        # (n, code, truth) view of the pair table: code 0 silent
+        # independent, 1 independent claim, 2 silent dependent, 3
+        # dependent claim.
+        logs = pair_table(params._rate_block()).reshape(-1, 4, 2)
         dep_t = self.dep.T
         indep_t = self.sc_indep.T
         dep_claims_t = self.sc_dep.T
-        log_true = (
-            float(t.log_1a.sum())
-            + np.asarray(dep_t @ (t.log_1f - t.log_1a)).ravel()
-            + np.asarray(indep_t @ (t.log_a - t.log_1a)).ravel()
-            + np.asarray(dep_claims_t @ (t.log_f - t.log_1f)).ravel()
+        return np.stack(
+            [
+                float(logs[:, 0, truth].sum())
+                + _matvec(dep_t, logs[:, 2, truth] - logs[:, 0, truth])
+                + _matvec(indep_t, logs[:, 1, truth] - logs[:, 0, truth])
+                + _matvec(dep_claims_t, logs[:, 3, truth] - logs[:, 2, truth])
+                for truth in (0, 1)
+            ],
+            axis=-1,
         )
-        log_false = (
-            float(t.log_1b.sum())
-            + np.asarray(dep_t @ (t.log_1g - t.log_1b)).ravel()
-            + np.asarray(indep_t @ (t.log_b - t.log_1b)).ravel()
-            + np.asarray(dep_claims_t @ (t.log_g - t.log_1g)).ravel()
-        )
-        return log_true, log_false
 
     def posterior(self, params: SourceParameters) -> np.ndarray:
-        log_true, log_false = self._column_log_likelihoods(params)
-        return stable_posterior(log_true, log_false, params.z)
+        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
 
     def e_step(
         self, params: SourceParameters
     ) -> Tuple[np.ndarray, float]:
-        log_true, log_false = self._column_log_likelihoods(params)
-        posterior = stable_posterior(log_true, log_false, params.z)
-        log_likelihood = log_likelihood_from_columns(log_true, log_false, params.z)
-        return posterior, log_likelihood
+        return posterior_and_log_likelihood(self._columns(params), params.z)
 
     # -- nested independence model over independent cells (staged init) ----------
 
     def masked_rate(self, weight: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        numerator = np.asarray(self.sc_indep @ weight).ravel()
-        denominator = self._independent_mass(
-            float(weight.sum()), np.asarray(self.dep @ weight).ravel()
-        )
         ratio = ratio_update(
-            numerator,
-            denominator,
+            _matvec(self.sc_indep, weight),
+            self._independent_mass(float(weight.sum()), _matvec(self.dep, weight)),
             smoothing=self.smoothing,
             fallback=previous,
         )
-        return np.minimum(np.maximum(ratio, self.epsilon), 1.0 - self.epsilon)
+        return clip_rates(ratio, self.epsilon, out=ratio)
 
     def masked_log_likelihoods(
         self, t_rate: np.ndarray, b_rate: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        log_t, log_1t = np.log(t_rate), np.log1p(-t_rate)
-        log_b, log_1b = np.log(b_rate), np.log1p(-b_rate)
-        base_true = float(log_1t.sum())
-        base_false = float(log_1b.sum())
-        # Remove dependent (masked) cells from the base, add claims.
+    ) -> np.ndarray:
+        """``(2, m)``: the base over all sources, less the dependent cells, plus claims."""
+        logs = pair_table(np.array((t_rate, b_rate))).reshape(-1, 4, 2)
         dep_t = self.dep.T
         sc_t = self.sc_indep.T
-        log_true = base_true - np.asarray(dep_t @ log_1t).ravel() + np.asarray(
-            sc_t @ (log_t - log_1t)
-        ).ravel()
-        log_false = base_false - np.asarray(dep_t @ log_1b).ravel() + np.asarray(
-            sc_t @ (log_b - log_1b)
-        ).ravel()
-        return log_true, log_false
+        return np.array(
+            [
+                float(logs[:, 0, truth].sum())
+                - _matvec(dep_t, logs[:, 0, truth])
+                + _matvec(sc_t, logs[:, 1, truth] - logs[:, 0, truth])
+                for truth in (0, 1)
+            ]
+        )
+
+
+@dataclass(frozen=True)
+class IndependentParameters:
+    """θ of the two-parameter independence model: per-source (t, b) and prior z."""
+
+    t: np.ndarray
+    b: np.ndarray
+    z: float
+
+    @classmethod
+    def _from_rates(cls, rates: np.ndarray, z: float) -> "IndependentParameters":
+        """Adopt a fresh ``(2, n)`` ``[t, b]`` rate block (rows become ``t``, ``b``)."""
+        self = object.__new__(cls)
+        self.__dict__.update(t=rates[0], b=rates[1], z=z, _rates=rates)
+        return self
+
+    def _rate_block(self) -> np.ndarray:
+        """The ``(2, n)`` ``[t, b]`` block, stacked if not built from one."""
+        rates = self.__dict__.get("_rates")
+        return np.array((self.t, self.b)) if rates is None else rates
+
+    def clamp(self, epsilon: float = DEFAULT_EPSILON) -> "IndependentParameters":
+        """Push every probability into ``[ε, 1-ε]``."""
+        return IndependentParameters._from_rates(
+            clip_rates(self._rate_block(), epsilon),
+            clip_probability(self.z, epsilon),
+        )
+
+    def max_difference(self, other: "IndependentParameters") -> float:
+        """Largest absolute parameter change (convergence criterion)."""
+        delta = abs(self.z - other.z)
+        if not self.t.size:
+            return delta
+        rates = float(np.abs(self._rate_block() - other._rate_block()).max())
+        return max(delta, rates)
 
 
 class MaskedDenseBackend:
@@ -499,10 +482,11 @@ class MaskedDenseBackend:
     Masked cells contribute to neither the likelihood nor the M-step
     counts — they are treated as *missing*, not as non-claims.  The
     EM (IPSN 2012) baseline is the special case of an all-ones mask;
-    EM-Social (IPSN 2014) masks out every dependent cell.
+    EM-Social (IPSN 2014) masks out every dependent cell, and then its
+    cell codes ``2·(1 - mask) + SC`` are :class:`DenseBackend`'s.
 
-    Parameters are :class:`~repro.baselines.em_independent.IndependentParameters`
-    (per-source ``t, b`` plus the prior ``z``), not the full
+    Parameters are :class:`IndependentParameters` (per-source ``t, b``
+    plus the prior ``z``), not the full
     :class:`~repro.core.model.SourceParameters`.
     """
 
@@ -523,7 +507,7 @@ class MaskedDenseBackend:
         self.smoothing = smoothing
         self.epsilon = epsilon
         self.sc_mask = sc * mask
-        self._codes = flat_claim_codes(np.asarray(sc) != 0, np.asarray(mask) != 0)
+        self._codes = flat_claim_codes(np.asarray(sc) != 0, np.asarray(mask) == 0)
 
     @property
     def n_sources(self) -> int:
@@ -536,8 +520,6 @@ class MaskedDenseBackend:
     # -- parameter construction --------------------------------------------------
 
     def neutral(self) -> IndependentParameters:
-        from repro.baselines.em_independent import IndependentParameters
-
         return IndependentParameters(
             t=np.full(self.n_sources, 0.55),
             b=np.full(self.n_sources, 0.45),
@@ -545,8 +527,6 @@ class MaskedDenseBackend:
         )
 
     def random_params(self, rng: np.random.Generator) -> IndependentParameters:
-        from repro.baselines.em_independent import IndependentParameters
-
         return IndependentParameters(
             t=rng.uniform(0.4, 0.8, size=self.n_sources),
             b=rng.uniform(0.05, 0.35, size=self.n_sources),
@@ -561,36 +541,31 @@ class MaskedDenseBackend:
     def m_step(
         self, posterior: np.ndarray, previous: IndependentParameters
     ) -> IndependentParameters:
-        from repro.baselines.em_independent import IndependentParameters
-
+        """The two rates as one ``(2, n)`` ``[t, b]`` block, clamped in place."""
         z_post = posterior
         y_post = 1.0 - posterior
-
-        s = self.smoothing
-        t = _dense_partition_ratio(self.sc_mask, z_post, self.mask, s, previous.t)
-        b = _dense_partition_ratio(self.sc_mask, y_post, self.mask, s, previous.b)
-        z = (  # sum/size is np.mean's own definition, minus dispatch
-            float(z_post.sum()) / z_post.size if z_post.size else previous.z
+        rates = ratio_update(
+            np.array((self.sc_mask @ z_post, self.sc_mask @ y_post)),
+            np.array((self.mask @ z_post, self.mask @ y_post)),
+            smoothing=self.smoothing,
+            fallback=previous._rate_block(),
         )
-        return IndependentParameters(t=t, b=b, z=z).clamp(self.epsilon)
+        return IndependentParameters._from_rates(
+            clip_rates(rates, self.epsilon, out=rates),
+            clip_probability(_prior_update(posterior, previous), self.epsilon),
+        )
 
-    def _column_log_likelihoods(
-        self, params: IndependentParameters
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        tables = IndependenceLogTables.build(params.t, params.b)
-        if not tables.finite:
-            return _masked_legacy_log_likelihoods(self.sc, self.mask, tables)
-        return coded_masked_column_log_likelihoods(self._codes, tables)
+    def _columns(self, params: IndependentParameters) -> np.ndarray:
+        """``(m, 2)`` log likelihoods of every column over its unmasked cells."""
+        return pair_column_log_likelihoods(
+            self._codes, pair_table(params._rate_block())
+        )
 
     def posterior(self, params: IndependentParameters) -> np.ndarray:
-        log_true, log_false = self._column_log_likelihoods(params)
-        return stable_posterior(log_true, log_false, params.z)
+        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
 
     def e_step(self, params: IndependentParameters) -> Tuple[np.ndarray, float]:
-        log_true, log_false = self._column_log_likelihoods(params)
-        posterior = stable_posterior(log_true, log_false, params.z)
-        log_likelihood = log_likelihood_from_columns(log_true, log_false, params.z)
-        return posterior, log_likelihood
+        return posterior_and_log_likelihood(self._columns(params), params.z)
 
 
 def make_backend(
@@ -620,4 +595,10 @@ def make_backend(
     return DenseBackend(problem, smoothing=smoothing, epsilon=epsilon)  # type: ignore[arg-type]
 
 
-__all__ = ["CSRBackend", "DenseBackend", "MaskedDenseBackend", "make_backend"]
+__all__ = [
+    "CSRBackend",
+    "DenseBackend",
+    "IndependentParameters",
+    "MaskedDenseBackend",
+    "make_backend",
+]

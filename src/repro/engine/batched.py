@@ -4,7 +4,7 @@ The paper's evaluation fits the *same-shaped* EM-Ext problem dozens of
 times — R restarts × T trials per sweep point — and at Fig. 7 sizes a
 single fit is kernel-launch-bound, not FLOP-bound.  This module stacks
 B independent fits ("lanes") into C-contiguous ``(B, n, m)`` claim and
-dependency tensors plus ``(B, n, 4)`` log-parameter tables and runs
+dependency tensors plus one ``(B·4n, 2)`` truth-pair log table and runs
 every E-step / M-step / column-log-likelihood over all lanes at once,
 amortising the per-call NumPy dispatch across the whole batch.
 
@@ -35,10 +35,14 @@ them.  The tricks, each bitwise-neutral:
   ``(B, n, 4)`` count stack (Equations 10–14 share the ratio form);
   the smoothed path falls back to four per-rate updates because the
   pooled reductions must keep the serial contiguous summation order;
-* both gather tables sit in one ``(2, B, n, 4)`` buffer, so the
-  true/false column log-likelihoods are a *single* flat ``take``;
-* the E-step posterior and the Equation (7) total share ``top`` and
-  both exponentials in the all-finite hot case.
+* every lane's log table is a block of one truth-pair table (see
+  :mod:`repro.kernels.tables`), so the true and false column
+  log-likelihoods of all lanes are a *single* ``take`` of the
+  lane-offset cell codes;
+* the E-step posterior and the Equation (7) totals come from the
+  scalar backends' own log-sum-exp
+  (:func:`~repro.core.likelihood.posterior_and_log_likelihood`), which
+  takes one prior per lane.
 
 Three formulations are deliberately avoided because they break bitwise
 parity: ``(n, m) @ (m, B)`` GEMM and stacked ``(·, m, 2)`` multi-vector
@@ -87,17 +91,21 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import observability
-from repro.core.likelihood import column_log_likelihoods
-from repro.core.model import DEFAULT_EPSILON, ParameterTrace, SourceParameters
-from repro.engine.driver import DriverOutcome, IterationEvent
-from repro.engine.statistics import batched_ratio_update
-from repro.kernels.likelihood import (
-    batched_dual_column_log_likelihoods,
-    batched_flat_claim_codes,
-    dual_lane_codes,
-    lane_offset_codes,
+from repro.core.likelihood import posterior_and_log_likelihood
+from repro.core.model import (
+    DEFAULT_EPSILON,
+    ParameterTrace,
+    SourceParameters,
+    clip_rates,
 )
-from repro.kernels.tables import BatchedLogParameterTables
+from repro.engine.driver import DriverOutcome, IterationEvent
+from repro.engine.statistics import ratio_update
+from repro.kernels.likelihood import (
+    batched_flat_claim_codes,
+    lane_offset_codes,
+    pair_column_log_likelihoods,
+)
+from repro.kernels.tables import pair_table
 from repro.utils.errors import ValidationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -179,18 +187,13 @@ class BatchedSourceParameters:
         return self.rates[:, :, 3]
 
     def lane(self, index: int) -> SourceParameters:
-        """Lane ``index`` as a scalar parameter set (fresh arrays).
+        """Lane ``index`` as a scalar parameter set (a fresh rate block).
 
         The rows were produced by validated constructions or by
         :meth:`clamp`, so the no-revalidation constructor applies.
         """
-        row = self.rates[index]
-        return SourceParameters._trusted(
-            a=row[:, 0].copy(),
-            b=row[:, 1].copy(),
-            f=row[:, 2].copy(),
-            g=row[:, 3].copy(),
-            z=float(self.z[index]),
+        return SourceParameters._from_rates(
+            self.rates[index].T.copy(), float(self.z[index])
         )
 
     def select(self, keep: np.ndarray) -> "BatchedSourceParameters":
@@ -201,10 +204,8 @@ class BatchedSourceParameters:
         """Per-lane :meth:`SourceParameters.clamp` (same min/max ops)."""
         if not 0.0 < epsilon < 0.5:
             raise ValidationError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        low, high = epsilon, 1.0 - epsilon
         return BatchedSourceParameters(
-            rates=np.minimum(np.maximum(self.rates, low), high),
-            z=np.minimum(np.maximum(self.z, low), high),
+            rates=clip_rates(self.rates, epsilon), z=clip_rates(self.z, epsilon)
         )
 
     def max_difference(self, other: "BatchedSourceParameters") -> np.ndarray:
@@ -226,7 +227,7 @@ class BatchedSourceParameters:
         """Per-lane M-step fault messages, or ``None`` when all clean.
 
         Mirrors the serial guard order: the aggregate rates NaN probe
-        (``_check_rates_finite``) fires first, then the scalar ``z``
+        of the dense M-step fires first, then the scalar ``z``
         probability check — each with the serial exception's message so
         health ledgers match string-for-string.  NaN-ness of a sum is
         summation-order-independent (rates are NaN or in ``[0, 1]``, so
@@ -240,64 +241,6 @@ class BatchedSourceParameters:
         for index in np.flatnonzero(rates_nan | z_nan):
             faults[index] = _RATES_FAULT if rates_nan[index] else _Z_FAULT
         return faults
-
-
-def _batched_posterior(
-    joint_true: np.ndarray, joint_false: np.ndarray
-) -> np.ndarray:
-    """Per-lane stable Bayes posterior from ``(B, m)`` log joints.
-
-    Same two branches as
-    :func:`repro.core.likelihood.posterior_from_log_likelihoods`; the
-    guarded branch computes identical values for finite-``top`` columns,
-    so taking it batch-wide (one lane's degenerate column sends all
-    lanes through it) changes no bits.
-    """
-    top = np.maximum(joint_true, joint_false)
-    if np.isfinite(top).all():
-        num = np.exp(joint_true - top)
-        return num / (num + np.exp(joint_false - top))
-    with np.errstate(invalid="ignore"):
-        num = np.exp(joint_true - top)
-        den = num + np.exp(joint_false - top)
-        return np.where(np.isfinite(top), num / den, 0.5)
-
-
-def _batched_log_likelihood(
-    joint_true: np.ndarray, joint_false: np.ndarray
-) -> np.ndarray:
-    """Per-lane Equation (7) totals, ``(B,)``, from ``(B, m)`` log joints."""
-    top = np.maximum(joint_true, joint_false)
-    safe_top = np.where(np.isfinite(top), top, 0.0)
-    column_ll = safe_top + np.log(
-        np.exp(joint_true - safe_top) + np.exp(joint_false - safe_top)
-    )
-    return column_ll.sum(axis=1)
-
-
-def _batched_posterior_and_ll(
-    joint_true: np.ndarray, joint_false: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fused posterior + Equation (7) totals from ``(B, m)`` log joints.
-
-    In the all-finite hot case the two formulas share ``top`` and both
-    exponentials, so computing them together halves the call count while
-    producing bit-for-bit the same arrays as the two helpers above
-    (identical operations on identical inputs).  Any degenerate column
-    routes both through the guarded branches unchanged.
-    """
-    top = np.maximum(joint_true, joint_false)
-    if np.isfinite(top).all():
-        exp_true = np.exp(joint_true - top)
-        exp_false = np.exp(joint_false - top)
-        total = exp_true + exp_false
-        posterior = exp_true / total
-        log_likelihoods = (top + np.log(total)).sum(axis=1)
-        return posterior, log_likelihoods
-    return (
-        _batched_posterior(joint_true, joint_false),
-        _batched_log_likelihood(joint_true, joint_false),
-    )
 
 
 class BatchedDenseBackend:
@@ -334,7 +277,7 @@ class BatchedDenseBackend:
         self.indep = 1.0 - dep
         self.sc_indep = sc * self.indep
         self.sc_dep = sc * dep
-        #: ``(1 | B, n, m)`` flat (n, 4)-table codes without lane offsets.
+        #: ``(1 | B, n, m)`` pair-table rows without lane offsets.
         self._base_codes = batched_flat_claim_codes(sc != 0, dep != 0)
         self._set_lane_codes()
 
@@ -342,9 +285,6 @@ class BatchedDenseBackend:
         """(Re)derive the lane-offset gather codes from the base codes."""
         self._lane_codes = lane_offset_codes(
             self._base_codes, self.n_sources, self.n_lanes
-        )
-        self._dual_codes = dual_lane_codes(
-            self._lane_codes, self.n_sources, self.n_lanes
         )
 
     @classmethod
@@ -391,12 +331,6 @@ class BatchedDenseBackend:
     @property
     def n_assertions(self) -> int:
         return self.sc.shape[2]
-
-    def _lane_data(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Lane ``index``'s ``(sc, dep)`` float matrices."""
-        if self.sc.shape[0] == 1:
-            return self.sc[0], self.dep[0]
-        return self.sc[index], self.dep[index]
 
     def compact(self, keep: np.ndarray) -> "BatchedDenseBackend":
         """The sub-batch of lanes ``keep``.
@@ -466,7 +400,7 @@ class BatchedDenseBackend:
         if self.smoothing != 0.0:
             rates = np.stack(
                 [
-                    batched_ratio_update(
+                    ratio_update(
                         numerators[column][:, :, 0],
                         denominators[column][:, :, 0],
                         smoothing=self.smoothing,
@@ -477,63 +411,37 @@ class BatchedDenseBackend:
                 axis=2,
             )
         else:
-            numerator = np.concatenate(numerators, axis=2)
-            denominator = np.concatenate(denominators, axis=2)
-            usable = denominator > 0
-            rates = np.where(usable, 0.0, previous.rates)
-            np.divide(numerator, denominator, out=rates, where=usable)
+            rates = ratio_update(
+                np.concatenate(numerators, axis=2),
+                np.concatenate(denominators, axis=2),
+                fallback=previous.rates,
+            )
         z = (
             posterior.sum(axis=1) / posterior.shape[1]
             if posterior.shape[1]
             else previous.z
         )
-        # SourceParameters.clamp's min/max pair, fused over the rate
-        # stack (in place: `rates` is fresh either way).
-        low, high = self.epsilon, 1.0 - self.epsilon
-        np.maximum(rates, low, out=rates)
-        np.minimum(rates, high, out=rates)
+        # SourceParameters.clamp over the rate stack (in place: `rates`
+        # is fresh either way).
         return BatchedSourceParameters(
-            rates=rates, z=np.minimum(np.maximum(z, low), high)
+            rates=clip_rates(rates, self.epsilon, out=rates),
+            z=clip_rates(z, self.epsilon),
         )
 
-    def _column_log_likelihoods(
-        self, params: BatchedSourceParameters
-    ) -> Tuple[np.ndarray, np.ndarray, BatchedLogParameterTables]:
-        """Per-lane column log-likelihoods, ``(B, m)`` each, plus tables."""
-        tables = BatchedLogParameterTables.build(params)
-        log_true, log_false = batched_dual_column_log_likelihoods(
-            self._dual_codes, tables
-        )
-        if not tables.finite.all():
-            # Unclamped degenerate lanes take the serial backend's
-            # careful legacy path, alone — splicing their rows over
-            # the garbage the fast gather produced for them.
-            for index in np.flatnonzero(~tables.finite):
-                sc, dep = self._lane_data(int(index))
-                lane_true, lane_false = column_log_likelihoods(
-                    sc, dep, params.lane(int(index))
-                )
-                log_true[index] = lane_true
-                log_false[index] = lane_false
-        return log_true, log_false, tables
+    def _columns(self, params: BatchedSourceParameters) -> np.ndarray:
+        """Per-lane column log-likelihoods, ``(B, m, 2)``."""
+        table = pair_table(params.rates.transpose(0, 2, 1))
+        return pair_column_log_likelihoods(self._lane_codes, table)
 
     def posterior(self, params: BatchedSourceParameters) -> np.ndarray:
         """Equation (9) truth posterior, ``(B, m)``."""
-        log_true, log_false, tables = self._column_log_likelihoods(params)
-        return _batched_posterior(
-            log_true + tables.log_z[:, None],
-            log_false + tables.log_1z[:, None],
-        )
+        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
 
     def e_step(
         self, params: BatchedSourceParameters
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-lane posterior ``(B, m)`` plus log likelihood ``(B,)``."""
-        log_true, log_false, tables = self._column_log_likelihoods(params)
-        return _batched_posterior_and_ll(
-            log_true + tables.log_z[:, None],
-            log_false + tables.log_1z[:, None],
-        )
+        return posterior_and_log_likelihood(self._columns(params), params.z)
 
 
 @dataclass

@@ -39,6 +39,7 @@ unreliable; the runtime gets the same treatment):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import (
@@ -232,7 +233,7 @@ class EMDriver:
                         )
                     ):
                         stop_requested = True
-                if not (np.isfinite(delta) and np.isfinite(log_likelihood)):
+                if not (math.isfinite(delta) and math.isfinite(log_likelihood)):
                     diverged = True
                     break
                 if delta < self.tolerance:

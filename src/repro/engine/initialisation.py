@@ -28,8 +28,8 @@ from typing import Any, Tuple
 
 import numpy as np
 
-from repro.core.model import SourceParameters
-from repro.engine.statistics import stable_posterior
+from repro.core.likelihood import posterior_and_log_likelihood
+from repro.core.model import SourceParameters, clip_probability
 
 
 def support_posterior(backend: Any) -> np.ndarray:
@@ -78,19 +78,12 @@ def staged_stage_one(
         t_rate = backend.masked_rate(posterior, t_rate)
         b_rate = backend.masked_rate(1.0 - posterior, b_rate)
         if posterior.size:
-            # sum/size is np.mean's own definition, minus dispatch; the
-            # explicit comparisons reproduce np.clip (a NaN mean fails
-            # both and propagates unchanged, exactly as np.clip does).
-            mean = float(posterior.sum()) / posterior.size
-            if mean < eps:
-                z = eps
-            elif mean > 1.0 - eps:
-                z = 1.0 - eps
-            else:
-                z = mean
+            # sum/size is np.mean's own definition, minus dispatch.
+            z = clip_probability(float(posterior.sum()) / posterior.size, eps)
         # E-step over independent cells only.
-        log_true, log_false = backend.masked_log_likelihoods(t_rate, b_rate)
-        new_posterior = stable_posterior(log_true, log_false, z)
+        new_posterior = posterior_and_log_likelihood(
+            backend.masked_log_likelihoods(t_rate, b_rate).T, z
+        )[0]
         if (
             posterior.size
             and float(np.abs(new_posterior - posterior).max()) < tolerance

@@ -47,11 +47,15 @@ def ratio_update(
     ----------
     numerator, denominator:
         Posterior-weighted counts over one cell partition (e.g. for
-        Equation 10: claim mass and total mass over independent cells).
+        Equation 10: claim mass and total mass over independent cells),
+        one entry per source along the last axis.  Leading axes stack
+        several rates (a ``(4, n)`` M-step block) or lanes; each row is
+        pooled on its own, in the serial 1-D summation order.
     smoothing:
         Pseudo-count ``s`` of hierarchical shrinkage: the ratio becomes
         ``(num_i + s·pooled) / (den_i + s)`` where ``pooled`` is the
-        population rate (all numerators over all denominators).
+        row's population rate (its numerators over its denominators,
+        0.5 when it has no mass).
     fallback:
         Per-source previous values, kept wherever the partition is
         empty (denominator zero).
@@ -63,16 +67,22 @@ def ratio_update(
     if smoothing != 0.0:
         # The pooled rate only matters when it is actually blended in;
         # adding s=0 pseudo-counts is the identity (counts are
-        # non-negative, so +0.0 cannot flip a signed zero), and the two
+        # non-negative, so +0.0 cannot flip a signed zero), and the
         # reductions plus two array adds are pure overhead in the
         # common unsmoothed inner loops.
-        pooled_den = float(denominator.sum())
-        pooled = float(numerator.sum()) / pooled_den if pooled_den > 0 else 0.5
+        pooled_den = denominator.sum(axis=-1, keepdims=True)
+        pooled = np.full_like(pooled_den, 0.5)
+        np.divide(
+            numerator.sum(axis=-1, keepdims=True),
+            pooled_den,
+            out=pooled,
+            where=pooled_den > 0,
+        )
         numerator = numerator + smoothing * pooled
         denominator = denominator + smoothing
     # Masked divide: fallback cells are pre-filled and never touched by
     # the division, so empty partitions raise no warnings and need no
-    # errstate round-trip (this runs four times per M-step).
+    # errstate round-trip.
     usable = denominator > 0
     ratio = np.where(usable, 0.0, fallback)
     np.divide(numerator, denominator, out=ratio, where=usable)
@@ -84,59 +94,6 @@ def ratio_update(
         np.maximum(ratio, 0.0, out=ratio, where=usable)
         np.minimum(ratio, 1.0, out=ratio, where=usable)
     return ratio
-
-
-def batched_ratio_update(
-    numerator: np.ndarray,
-    denominator: np.ndarray,
-    *,
-    smoothing: float = 0.0,
-    fallback: np.ndarray,
-) -> np.ndarray:
-    """Per-lane :func:`ratio_update` over ``(B, n)`` count stacks.
-
-    Lane ``b`` of the result is bit-for-bit ``ratio_update`` of lane
-    ``b``'s counts alone: the pooled shrinkage rate is reduced per lane
-    (``sum(axis=1)`` of a C-contiguous stack keeps the serial 1-D
-    pairwise reduction order), and the scalar-vs-elementwise division
-    producing it is the same IEEE-754 operation either way.  ``fallback``
-    is the ``(B, n)`` previous-parameter stack.
-    """
-    if smoothing != 0.0:
-        pooled_den = denominator.sum(axis=1, keepdims=True)
-        pooled_num = numerator.sum(axis=1, keepdims=True)
-        # Serial uses 0.5 when a lane's partition is globally empty.
-        pooled = np.full_like(pooled_den, 0.5)
-        np.divide(pooled_num, pooled_den, out=pooled, where=pooled_den > 0)
-        numerator = numerator + smoothing * pooled
-        denominator = denominator + smoothing
-    usable = denominator > 0
-    ratio = np.where(usable, 0.0, fallback)
-    np.divide(numerator, denominator, out=ratio, where=usable)
-    return ratio
-
-
-def stable_posterior(
-    log_true: np.ndarray, log_false: np.ndarray, z: float
-) -> np.ndarray:
-    """Bayes posterior from per-column log likelihoods, peak-normalised."""
-    joint_true = log_true + np.log(z)
-    joint_false = log_false + np.log1p(-z)
-    top = np.maximum(joint_true, joint_false)
-    numerator = np.exp(joint_true - top)
-    return numerator / (numerator + np.exp(joint_false - top))
-
-
-def log_likelihood_from_columns(
-    log_true: np.ndarray, log_false: np.ndarray, z: float
-) -> float:
-    """Observed-data log likelihood from per-column log likelihoods."""
-    joint_true = log_true + np.log(z)
-    joint_false = log_false + np.log1p(-z)
-    top = np.maximum(joint_true, joint_false)
-    return float(
-        (top + np.log(np.exp(joint_true - top) + np.exp(joint_false - top))).sum()
-    )
 
 
 @dataclass
@@ -243,8 +200,5 @@ __all__ = [
     "CountMap",
     "RATE_NAMES",
     "SufficientStatistics",
-    "batched_ratio_update",
-    "log_likelihood_from_columns",
     "ratio_update",
-    "stable_posterior",
 ]

@@ -27,7 +27,7 @@ from repro.data.dense import DependencyMatrix, SensingProblem, SourceClaimMatrix
 from repro.data.protocol import FORMAT_DENSE, Problem
 from repro.core.result import EstimationResult, FactFindingResult
 from repro.datasets.schema import Tweet
-from repro.utils.errors import DataError
+from repro.utils.errors import DataError, ValidationError
 
 PathLike = Union[str, Path]
 
@@ -168,36 +168,46 @@ def save_tweets(tweets: Iterable[Tweet], path: PathLike) -> int:
 
 
 def load_tweets(path: PathLike) -> List[Tweet]:
-    """Read tweets from a JSONL file written by :func:`save_tweets`."""
+    """Read tweets from a JSONL file written by :func:`save_tweets`.
+
+    Every refusal of a record names its ``path:line``.  A malformed
+    record (bad JSON, a missing field, a value ``int``/``float`` cannot
+    read) raises :class:`~repro.utils.errors.DataError`; a well-formed
+    record that :class:`~repro.datasets.schema.Tweet` refuses keeps its
+    :class:`~repro.utils.errors.ValidationError`.
+    """
     tweets: List[Tweet] = []
     with open(path, "r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}:{line_number}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as error:
-                raise DataError(f"{path}:{line_number}: invalid JSON") from error
+                raise DataError(f"{where}: invalid JSON") from error
             try:
-                tweets.append(
-                    Tweet(
-                        tweet_id=int(record["tweet_id"]),
-                        user=int(record["user"]),
-                        time=float(record["time"]),
-                        text=str(record["text"]),
-                        assertion=int(record["assertion"]),
-                        retweet_of=(
-                            None
-                            if record.get("retweet_of") is None
-                            else int(record["retweet_of"])
-                        ),
-                    )
+                fields = dict(
+                    tweet_id=int(record["tweet_id"]),
+                    user=int(record["user"]),
+                    time=float(record["time"]),
+                    text=str(record["text"]),
+                    assertion=int(record["assertion"]),
+                    retweet_of=(
+                        None
+                        if record.get("retweet_of") is None
+                        else int(record["retweet_of"])
+                    ),
                 )
             except KeyError as error:
-                raise DataError(
-                    f"{path}:{line_number}: missing field {error}"
-                ) from error
+                raise DataError(f"{where}: missing field {error}") from error
+            except (TypeError, ValueError) as error:
+                raise DataError(f"{where}: {error}") from error
+            try:
+                tweets.append(Tweet(**fields))
+            except ValidationError as error:
+                raise ValidationError(f"{where}: {error}") from error
     return tweets
 
 

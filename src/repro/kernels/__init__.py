@@ -5,11 +5,11 @@ engine backends and :mod:`repro.core.likelihood` all route their inner
 loops through it.  The modules are deliberately small and orthogonal:
 
 =====================  ======================================================
-:mod:`~repro.kernels.tables`       log-parameter tables, built once per θ
-                                   (scalar, independence and lane-stacked)
+:mod:`~repro.kernels.tables`       truth-pair log tables, built once per θ
+                                   (dependency, independence and lane-stacked)
 :mod:`~repro.kernels.dedup`        unique-column grouping for the exact,
                                    Gibbs and analytic bounds
-:mod:`~repro.kernels.likelihood`   vectorised select-based column
+:mod:`~repro.kernels.likelihood`   one-gather select-based column
                                    log-likelihoods for binary matrices
 :mod:`~repro.kernels.enumeration`  meet-in-the-middle sum over the ``2^n``
                                    claim patterns (exact bound), from
@@ -30,29 +30,19 @@ from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses
 from repro.kernels.gibbs import BlockedGibbsChains, GibbsTables
 from repro.kernels.likelihood import (
-    batched_dual_column_log_likelihoods,
-    dense_column_log_likelihoods,
-    dual_lane_codes,
+    flat_claim_codes,
     lane_offset_codes,
-    masked_column_log_likelihoods,
+    pair_column_log_likelihoods,
 )
-from repro.kernels.tables import (
-    BatchedLogParameterTables,
-    IndependenceLogTables,
-    LogParameterTables,
-)
+from repro.kernels.tables import pair_table
 
 __all__ = [
-    "BatchedLogParameterTables",
     "BlockedGibbsChains",
     "GibbsTables",
-    "IndependenceLogTables",
-    "LogParameterTables",
-    "batched_dual_column_log_likelihoods",
-    "dense_column_log_likelihoods",
+    "flat_claim_codes",
     "gray_pattern_masses",
     "group_columns",
-    "dual_lane_codes",
     "lane_offset_codes",
-    "masked_column_log_likelihoods",
+    "pair_column_log_likelihoods",
+    "pair_table",
 ]

@@ -63,6 +63,39 @@ def reference_column_log_likelihoods(
     return log_true.sum(axis=0), log_false.sum(axis=0)
 
 
+def _reference_joints(log_true, log_false, z):
+    log_z = float(np.log(z)) if z != 0.0 else float("-inf")
+    log_1z = float(np.log1p(-z)) if z != 1.0 else float("-inf")
+    return (
+        np.asarray(log_true, dtype=np.float64) + log_z,
+        np.asarray(log_false, dtype=np.float64) + log_1z,
+    )
+
+
+def reference_posterior(log_true, log_false, z):
+    """The historical stable Bayes posterior (two-branch log-sum-exp)."""
+    joint_true, joint_false = _reference_joints(log_true, log_false, z)
+    top = np.maximum(joint_true, joint_false)
+    if np.isfinite(top).all():
+        num = np.exp(joint_true - top)
+        return num / (num + np.exp(joint_false - top))
+    with np.errstate(invalid="ignore"):
+        num = np.exp(joint_true - top)
+        den = num + np.exp(joint_false - top)
+        return np.where(np.isfinite(top), num / den, 0.5)
+
+
+def reference_log_likelihood(log_true, log_false, z):
+    """The historical Equation (7) tail, a separate log-sum-exp."""
+    joint_true, joint_false = _reference_joints(log_true, log_false, z)
+    top = np.maximum(joint_true, joint_false)
+    safe_top = np.where(np.isfinite(top), top, 0.0)
+    column_ll = safe_top + np.log(
+        np.exp(joint_true - safe_top) + np.exp(joint_false - safe_top)
+    )
+    return float(column_ll.sum())
+
+
 class ReferenceDenseBackend(DenseBackend):
     """`DenseBackend` with every optimised method swapped back to the
     pre-``repro.kernels`` implementation (two full likelihood passes per
@@ -92,25 +125,16 @@ class ReferenceDenseBackend(DenseBackend):
         return reference_column_log_likelihoods(self.sc, self.dep, params)
 
     def posterior(self, params):
-        from repro.core.likelihood import posterior_from_log_likelihoods
-
         log_true, log_false = self._reference_columns(params)
-        return posterior_from_log_likelihoods(log_true, log_false, params.z)
+        return reference_posterior(log_true, log_false, params.z)
 
     def e_step(self, params):
-        from repro.core.likelihood import (
-            log_likelihood_from_log_columns,
-            posterior_from_log_likelihoods,
-        )
-
         log_true, log_false = self._reference_columns(params)
-        posterior = posterior_from_log_likelihoods(log_true, log_false, params.z)
+        posterior = reference_posterior(log_true, log_false, params.z)
         # The historical E-step ran the whole likelihood pass twice —
         # once for the posterior, once for the data log likelihood.
         log_true2, log_false2 = self._reference_columns(params)
-        log_likelihood = log_likelihood_from_log_columns(
-            log_true2, log_false2, params.z
-        )
+        log_likelihood = reference_log_likelihood(log_true2, log_false2, params.z)
         return posterior, log_likelihood
 
     def masked_rate(self, weight, previous):
@@ -137,7 +161,7 @@ class ReferenceDenseBackend(DenseBackend):
                 + (1 - self.sc) * np.log1p(-b_rate)[:, None]
             )
         ).sum(axis=0)
-        return log_true, log_false
+        return np.array((log_true, log_false))
 
 
 # -- historical chunked exact enumeration ----------------------------------------
@@ -289,4 +313,6 @@ __all__ = [
     "reference_column_log_likelihoods",
     "reference_exact_bound",
     "reference_gibbs_bound",
+    "reference_log_likelihood",
+    "reference_posterior",
 ]

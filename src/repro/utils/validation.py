@@ -8,6 +8,7 @@ estimates.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -22,7 +23,7 @@ def check_probability(value: float, name: str, *, inclusive: bool = True) -> flo
     which is what iterative estimators need to avoid log(0).
     """
     value = float(value)
-    if np.isnan(value):
+    if math.isnan(value):
         raise ValidationError(f"{name} must be a probability, got NaN")
     if inclusive:
         if not 0.0 <= value <= 1.0:
@@ -42,11 +43,15 @@ def check_probability_array(values: np.ndarray, name: str) -> np.ndarray:
 
 
 def check_binary_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Validate a 2-D 0/1 matrix; returns an int8 copy."""
+    """Validate a 2-D 0/1 matrix; returns an int8 copy.
+
+    Any dtype whose entries equal 0 or 1 passes (integers, bools,
+    floats including ``-0.0``, objects); 2, 0.5, NaN and strings do not.
+    """
     array = np.asarray(matrix)
     if array.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {array.shape}")
-    if array.size and not np.isin(array, (0, 1)).all():
+    if array.size and not ((array == 0) | (array == 1)).all():
         raise ValidationError(f"{name} must contain only 0/1 entries")
     return array.astype(np.int8)
 

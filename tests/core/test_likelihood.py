@@ -13,7 +13,7 @@ from repro.core.likelihood import (
     data_log_likelihood,
     emission_probability,
     pattern_log_joint,
-    posterior_from_log_likelihoods,
+    posterior_and_log_likelihood,
     posterior_truth,
 )
 from repro.utils.errors import ValidationError
@@ -116,10 +116,59 @@ class TestPosterior:
         np.testing.assert_allclose(posterior, 1.0)
 
     def test_posterior_from_log_likelihoods_degenerate(self):
-        posterior = posterior_from_log_likelihoods(
-            np.array([-np.inf]), np.array([-np.inf]), 0.5
+        posterior, log_likelihood = posterior_and_log_likelihood(
+            np.array([[-np.inf, -np.inf]]), 0.5
         )
         assert posterior[0] == pytest.approx(0.5)
+        assert log_likelihood == -np.inf
+
+
+class TestDegenerateRates:
+    """Rates of exactly 0 or 1 give the Equation (4)/(5) values, not NaN.
+
+    Worked example: ``a = (0, 0.6)``, ``b = (0.2, 0.3)``, ``z = 0.5``,
+    no dependent cell.  Column 0 (source 0 silent, source 1 claims) has
+    ``P(SC | C = 1) = (1 − 0)·0.6`` and ``P(SC | C = 0) = 0.8·0.3``;
+    column 1 (both claim) cannot be true, since ``a_0 = 0``, and has
+    ``P(SC | C = 0) = 0.2·0.3``.
+    """
+
+    @pytest.fixture
+    def example(self):
+        params = SourceParameters(
+            a=np.array([0.0, 0.6]),
+            b=np.array([0.2, 0.3]),
+            f=np.array([0.5, 0.5]),
+            g=np.array([0.5, 0.5]),
+            z=0.5,
+        )
+        problem = SensingProblem.independent(np.array([[0, 1], [1, 1]]))
+        return problem, params
+
+    def test_column_log_likelihoods(self, example):
+        problem, params = example
+        log_true, log_false = column_log_likelihoods(
+            problem.claims.values, problem.dependency.values, params
+        )
+        assert log_true[0] == pytest.approx(np.log(0.6), rel=1e-12)
+        assert log_true[1] == -np.inf
+        assert log_false == pytest.approx(np.log([0.8 * 0.3, 0.2 * 0.3]), rel=1e-12)
+
+    def test_posterior_and_log_likelihood(self, example):
+        problem, params = example
+        posterior = posterior_truth(problem, params)
+        assert posterior[0] == pytest.approx(0.6 / (0.6 + 0.24), rel=1e-12)
+        assert posterior[1] == 0.0
+        expected = np.log(0.5 * 0.6 + 0.5 * 0.24) + np.log(0.5 * 0.06)
+        assert data_log_likelihood(problem, params) == pytest.approx(expected, rel=1e-12)
+
+    def test_pattern_log_joint(self, example):
+        problem, params = example
+        log_joint_true, log_joint_false = pattern_log_joint(
+            problem.claims.values[:, 0], problem.dependency.values[:, 0], params
+        )
+        assert log_joint_true == pytest.approx(np.log(0.5 * 0.6), rel=1e-12)
+        assert log_joint_false == pytest.approx(np.log(0.5 * 0.24), rel=1e-12)
 
 
 class TestDataLogLikelihood:

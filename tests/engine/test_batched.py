@@ -159,14 +159,13 @@ class TestBatchedSourceParameters:
 
 class TestBatchedKernelParity:
     def test_column_log_likelihoods_match_core_per_lane(self):
-        """The fused dual-table gather selects the serial floats."""
+        """The lane-stacked pair-table gather selects the serial floats."""
         problems = [_problem(seed=SEED + k) for k in range(3)]
         backends = [DenseBackend(p) for p in problems]
         params = _random_params(problems[0].n_sources, SEED, 3)
         batched = BatchedDenseBackend.from_backends(backends)
-        log_true, log_false, _ = batched._column_log_likelihoods(
-            BatchedSourceParameters.stack(params)
-        )
+        columns = batched._columns(BatchedSourceParameters.stack(params))
+        log_true, log_false = columns[..., 0], columns[..., 1]
         for index, (backend, p) in enumerate(zip(backends, params)):
             expected_true, expected_false = column_log_likelihoods(
                 backend.sc, backend.dep, p
@@ -174,8 +173,8 @@ class TestBatchedKernelParity:
             assert np.array_equal(log_true[index], expected_true)
             assert np.array_equal(log_false[index], expected_false)
 
-    def test_degenerate_lane_takes_legacy_path_bitwise(self):
-        """An unclamped 0/1 rate lane splices the serial legacy result."""
+    def test_degenerate_lane_matches_serial_bitwise(self):
+        """An unclamped 0/1 rate lane gives the serial Eq. 4/5 values, not NaN."""
         problem = _problem()
         backend = DenseBackend(problem)
         params = _random_params(problem.n_sources, SEED, 3)
@@ -186,19 +185,13 @@ class TestBatchedKernelParity:
         degenerate = SourceParameters(a=a, b=params[1].b, f=f, g=params[1].g, z=0.5)
         lanes = [params[0], degenerate, params[2]]
         batched = BatchedDenseBackend.from_backends([backend] * 3)
-        # The legacy path warns on 0·(-inf) products for unclamped θ —
-        # identically on the serial backend; silence it on both sides so
-        # the comparison is about the floats, not the warning filter.
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_true, log_false, _ = batched._column_log_likelihoods(
-                BatchedSourceParameters.stack(lanes)
-            )
-            expected = [
-                column_log_likelihoods(backend.sc, backend.dep, p) for p in lanes
-            ]
+        columns = batched._columns(BatchedSourceParameters.stack(lanes))
+        log_true, log_false = columns[..., 0], columns[..., 1]
+        expected = [column_log_likelihoods(backend.sc, backend.dep, p) for p in lanes]
+        assert not np.isnan(columns).any()
         for index, (expected_true, expected_false) in enumerate(expected):
-            assert np.array_equal(log_true[index], expected_true, equal_nan=True)
-            assert np.array_equal(log_false[index], expected_false, equal_nan=True)
+            assert np.array_equal(log_true[index], expected_true)
+            assert np.array_equal(log_false[index], expected_false)
 
     def test_e_step_and_m_step_match_scalar_backend(self, same_column_problem):
         problems = [_problem(seed=SEED + k) for k in range(3)]

@@ -82,45 +82,53 @@ class TestStagedDeterminism:
         np.testing.assert_array_equal(first.scores, second.scores)
 
 
-def _assert_masked_paths_match_the_multiply_add(problem, t, b):
-    """Both masked-model paths give the bits of the inline multiply-add."""
+def _assert_masked_paths_match_the_equations(problem, t, b):
+    """Both masked-model paths give the bits of Equations (4)/(5) by selection.
+
+    Each independent cell contributes ``log r`` if it claims and
+    ``log(1 - r)`` if it is silent; a dependent cell is missing.  On
+    finite logs this is the multiply-add's value bit for bit; on a rate
+    of exactly 0 or 1 it is the equations' ``0`` or ``-inf``, where the
+    multiply-add computes ``0·(-inf) = NaN``.
+    """
     from repro.baselines.em_independent import IndependentParameters
     from repro.engine.backends import DenseBackend, MaskedDenseBackend
 
     dense = DenseBackend(problem)
     masked = MaskedDenseBackend(dense.sc, dense.indep)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        got = dense.masked_log_likelihoods(t, b)
-        twin = masked._column_log_likelihoods(IndependentParameters(t=t, b=b, z=0.5))
+    got = dense.masked_log_likelihoods(t, b)
+    twin = masked._columns(IndependentParameters(t=t, b=b, z=0.5)).T
+    with np.errstate(divide="ignore"):
         expected = [
-            (
-                dense.indep
-                * (
-                    dense.sc * np.log(rate)[:, None]
-                    + (1 - dense.sc) * np.log1p(-rate)[:, None]
-                )
+            np.where(
+                dense.indep == 1,
+                np.where(
+                    dense.sc == 1, np.log(rate)[:, None], np.log1p(-rate)[:, None]
+                ),
+                0.0,
             ).sum(axis=0)
             for rate in (t, b)
         ]
     for dense_side, masked_side, reference in zip(got, twin, expected):
-        assert np.array_equal(dense_side, reference, equal_nan=True)
-        assert np.array_equal(masked_side, reference, equal_nan=True)
+        assert not np.isnan(reference).any()
+        assert np.array_equal(dense_side, reference)
+        assert np.array_equal(masked_side, reference)
 
 
 class TestMaskedLegacyFallback:
     def test_degenerate_rates_match_the_masked_backend_and_the_equations(
         self, dataset
     ):
-        """Unclamped 0/1 rates take one multiply-add fallback on both backends."""
+        """Unclamped 0/1 rates give the Eq. 4/5 value on both backends."""
         problem = dataset.problem.without_truth()
         rng = np.random.default_rng(0)
         t = rng.uniform(0.1, 0.9, problem.n_sources)
         b = rng.uniform(0.1, 0.9, problem.n_sources)
         t[0], b[1] = 0.0, 1.0
-        _assert_masked_paths_match_the_multiply_add(problem, t, b)
+        _assert_masked_paths_match_the_equations(problem, t, b)
 
     def test_same_column_problem_matches_the_equations(self, same_column_problem):
-        """The gather path keeps the multiply-add's bits on repeated columns."""
-        _assert_masked_paths_match_the_multiply_add(
+        """The gather path keeps the equations' bits on repeated columns."""
+        _assert_masked_paths_match_the_equations(
             same_column_problem, np.linspace(0.2, 0.8, 10), np.linspace(0.1, 0.4, 10)
         )

@@ -19,14 +19,14 @@ from hypothesis import strategies as st
 
 from repro.bounds import GibbsConfig, exact_bound, gibbs_bound
 from repro.core import SensingProblem, SourceParameters
+from repro.core.likelihood import posterior_and_log_likelihood
 from repro.engine import (
     RATE_NAMES,
     DenseBackend,
     SufficientStatistics,
     ratio_update,
-    stable_posterior,
 )
-from repro.kernels.tables import IndependenceLogTables, LogParameterTables
+from repro.kernels.tables import pair_table
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -175,7 +175,9 @@ class TestStablePosterior:
         rng = np.random.default_rng(seed)
         log_true = rng.normal(size=m) * scale
         log_false = rng.normal(size=m) * scale
-        posterior = stable_posterior(log_true, log_false, z)
+        posterior, _ = posterior_and_log_likelihood(
+            np.stack([log_true, log_false], axis=-1), z
+        )
         assert np.isfinite(posterior).all()
         assert (posterior >= 0.0).all() and (posterior <= 1.0).all()
 
@@ -192,25 +194,19 @@ class TestLogTableProperties:
     @given(seed=seeds, n=st.integers(1, 12))
     def test_parameter_tables_match_direct_logs(self, seed, n):
         params = SourceParameters.random(n, seed)
-        tables = LogParameterTables.build(params)
+        # (source, code, truth) view: code 2·D + SC, truth 0 true, 1 false.
+        table = pair_table(params._rate_block()).reshape(n, 4, 2)
         for view, direct in (
-            (tables.log_a, np.log(params.a)),
-            (tables.log_1a, np.log1p(-params.a)),
-            (tables.log_b, np.log(params.b)),
-            (tables.log_1b, np.log1p(-params.b)),
-            (tables.log_f, np.log(params.f)),
-            (tables.log_1f, np.log1p(-params.f)),
-            (tables.log_g, np.log(params.g)),
-            (tables.log_1g, np.log1p(-params.g)),
+            (table[:, 1, 0], np.log(params.a)),
+            (table[:, 0, 0], np.log1p(-params.a)),
+            (table[:, 1, 1], np.log(params.b)),
+            (table[:, 0, 1], np.log1p(-params.b)),
+            (table[:, 3, 0], np.log(params.f)),
+            (table[:, 2, 0], np.log1p(-params.f)),
+            (table[:, 3, 1], np.log(params.g)),
+            (table[:, 2, 1], np.log1p(-params.g)),
         ):
             assert np.array_equal(view, direct, equal_nan=True)
-        assert tables.log_z == float(np.log(params.z))
-        assert tables.log_1z == float(np.log1p(-params.z))
-        expected_finite = bool(
-            np.isfinite(tables.table_true).all()
-            and np.isfinite(tables.table_false).all()
-        )
-        assert tables.finite == expected_finite
 
     @SETTINGS
     @given(
@@ -224,23 +220,17 @@ class TestLogTableProperties:
         b_rate = rng.random(n)
         if degenerate:
             t_rate[rng.integers(n)] = float(rng.integers(2))
-        tables = IndependenceLogTables.build(t_rate, b_rate)
+        table = pair_table(np.array((t_rate, b_rate))).reshape(n, 4, 2)
         with np.errstate(divide="ignore"):
             for view, direct in (
-                (tables.log_t, np.log(t_rate)),
-                (tables.log_1t, np.log1p(-t_rate)),
-                (tables.log_b, np.log(b_rate)),
-                (tables.log_1b, np.log1p(-b_rate)),
+                (table[:, 1, 0], np.log(t_rate)),
+                (table[:, 0, 0], np.log1p(-t_rate)),
+                (table[:, 1, 1], np.log(b_rate)),
+                (table[:, 0, 1], np.log1p(-b_rate)),
             ):
                 assert np.array_equal(view, direct, equal_nan=True)
-        # Masked cells (codes 0 and 1) gather an exact additive zero.
-        assert np.array_equal(tables.table_true[:, :2], np.zeros((n, 2)))
-        assert np.array_equal(tables.table_false[:, :2], np.zeros((n, 2)))
-        expected_finite = bool(
-            np.isfinite(tables.table_true).all()
-            and np.isfinite(tables.table_false).all()
-        )
-        assert tables.finite == expected_finite
+        # Missing cells (codes 2 and 3) gather an exact additive zero.
+        assert np.array_equal(table[:, 2:], np.zeros((n, 2, 2)))
 
 
 class TestBoundProperties:

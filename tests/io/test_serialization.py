@@ -1,6 +1,7 @@
 """Tests for serialisation round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,27 @@ class TestTweetsRoundTrip:
         record = '{"assertion": 0, "text": "x", "time": %s, "tweet_id": 0, "user": 1}'
         path.write_text(record % time + "\n")
         with pytest.raises(ValidationError):
+            load_tweets(path)
+
+    def test_refused_tweet_names_its_line(self, tmp_path):
+        """A record the tweet refuses keeps its type and gains ``path:line``."""
+        path = tmp_path / "tweets.jsonl"
+        good = {"assertion": 0, "text": "x", "time": 0.5, "tweet_id": 0, "user": 1}
+        self_retweet = dict(good, tweet_id=7, retweet_of=7)
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(self_retweet) + "\n")
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}:3: tweet 7"):
+            load_tweets(path)
+
+    @pytest.mark.parametrize(
+        "field, value", [("user", "abc"), ("time", None)], ids=["user-abc", "time-null"]
+    )
+    def test_unreadable_value_is_a_data_error(self, tmp_path, field, value):
+        """A value ``int``/``float`` cannot read is a ``DataError`` at ``path:line``."""
+        path = tmp_path / "tweets.jsonl"
+        record = {"assertion": 0, "text": "x", "time": 0.5, "tweet_id": 0, "user": 1}
+        record[field] = value
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: "):
             load_tweets(path)
 
     def test_deterministic_bytes(self, tmp_path):

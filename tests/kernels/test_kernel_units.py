@@ -21,11 +21,10 @@ from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses, table_bytes_estimate
 from repro.kernels.likelihood import (
     claim_codes,
-    dense_column_log_likelihoods,
     flat_claim_codes,
-    masked_column_log_likelihoods,
+    pair_column_log_likelihoods,
 )
-from repro.kernels.tables import IndependenceLogTables, LogParameterTables
+from repro.kernels.tables import pair_table
 from repro.resilience import Deadline
 from repro.utils.errors import (
     DeadlineExceeded,
@@ -56,33 +55,45 @@ class TestClaimCodes:
         assert claim_codes(sc, dep).tolist() == [[2, 1]]
 
 
+def _table(params):
+    """``(source, code, truth)`` view of a parameter set's pair table."""
+    return pair_table(params._rate_block()).reshape(params.n_sources, 4, 2)
+
+
 class TestLogParameterTables:
-    def test_views_alias_the_gather_tables(self):
+    def test_clamped_rates_share_one_block(self):
         params = SourceParameters.random(7, seed=0).clamp(DEFAULT_EPSILON)
-        tables = LogParameterTables.build(params)
-        assert np.array_equal(tables.log_a, tables.table_true[:, 1])
-        assert np.array_equal(tables.log_1f, tables.table_true[:, 2])
-        assert np.array_equal(tables.log_g, tables.table_false[:, 3])
-        assert tables.finite
+        block = params._rate_block()
+        assert block.shape == (4, 7)
+        for row, name in enumerate("abfg"):
+            assert np.shares_memory(getattr(params, name), block)
+            assert np.array_equal(getattr(params, name), block[row])
+        table = _table(params)
+        assert np.array_equal(table[:, 1, 0], np.log(params.a))
+        assert np.array_equal(table[:, 2, 0], np.log1p(-params.f))
+        assert np.array_equal(table[:, 3, 1], np.log(params.g))
 
     def test_logs_match_direct_computation(self):
         params = SourceParameters.random(5, seed=1).clamp(DEFAULT_EPSILON)
-        tables = LogParameterTables.build(params)
-        assert np.array_equal(tables.log_a, np.log(params.a))
-        assert np.array_equal(tables.log_1a, np.log1p(-params.a))
-        assert tables.log_z == float(np.log(params.z))
+        table = _table(params)
+        assert np.array_equal(table[:, 1, 0], np.log(params.a))
+        assert np.array_equal(table[:, 0, 0], np.log1p(-params.a))
+        assert np.array_equal(table[:, 1, 1], np.log(params.b))
 
-    def test_degenerate_rates_flagged_not_finite(self):
+    def test_degenerate_rates_give_infinite_entries(self):
         params = SourceParameters.from_scalars(4, a=1.0, b=0.0, f=0.5, g=0.5, z=0.5)
-        tables = LogParameterTables.build(params)
-        assert not tables.finite
+        table = _table(params)
+        assert (table[:, 0, 0] == -np.inf).all()  # log(1 - a)
+        assert (table[:, 1, 0] == 0.0).all()  # log a
+        assert (table[:, 1, 1] == -np.inf).all()  # log b
+        assert np.isfinite(table[:, 2:]).all()
 
     def test_independence_tables_masked_cells_gather_zero(self):
-        tables = IndependenceLogTables.build(np.array([0.7]), np.array([0.2]))
-        assert tables.table_true[0, 0] == 0.0
-        assert tables.table_true[0, 1] == 0.0
-        assert tables.table_true[0, 3] == np.log(0.7)
-        assert tables.finite
+        table = pair_table(np.array([[0.7], [0.2]])).reshape(1, 4, 2)
+        assert table[0, 2, 0] == 0.0
+        assert table[0, 3, 0] == 0.0
+        assert table[0, 1, 0] == np.log(0.7)
+        assert table[0, 0, 1] == np.log1p(-0.2)
 
 
 class TestGatherKernels:
@@ -91,18 +102,23 @@ class TestGatherKernels:
         sc = _random_binary((n, m), seed=2, density=0.6)
         dep = (_random_binary((n, m), seed=3, density=0.4) & sc).astype(np.int8)
         params = SourceParameters.random(n, seed=4).clamp(DEFAULT_EPSILON)
-        tables = LogParameterTables.build(params)
-        log_true, log_false = dense_column_log_likelihoods(sc, dep, tables)
+        columns = pair_column_log_likelihoods(
+            flat_claim_codes(sc, dep), pair_table(params._rate_block())
+        )
 
         scf, depf = sc.astype(float), dep.astype(float)
-        p1_t = depf * tables.log_f[:, None] + (1 - depf) * tables.log_a[:, None]
-        p0_t = depf * tables.log_1f[:, None] + (1 - depf) * tables.log_1a[:, None]
-        p1_f = depf * tables.log_g[:, None] + (1 - depf) * tables.log_b[:, None]
-        p0_f = depf * tables.log_1g[:, None] + (1 - depf) * tables.log_1b[:, None]
+        log_a, log_1a = np.log(params.a)[:, None], np.log1p(-params.a)[:, None]
+        log_b, log_1b = np.log(params.b)[:, None], np.log1p(-params.b)[:, None]
+        log_f, log_1f = np.log(params.f)[:, None], np.log1p(-params.f)[:, None]
+        log_g, log_1g = np.log(params.g)[:, None], np.log1p(-params.g)[:, None]
+        p1_t = depf * log_f + (1 - depf) * log_a
+        p0_t = depf * log_1f + (1 - depf) * log_1a
+        p1_f = depf * log_g + (1 - depf) * log_b
+        p0_f = depf * log_1g + (1 - depf) * log_1b
         expect_true = (scf * p1_t + (1 - scf) * p0_t).sum(axis=0)
         expect_false = (scf * p1_f + (1 - scf) * p0_f).sum(axis=0)
-        assert np.array_equal(log_true, expect_true)
-        assert np.array_equal(log_false, expect_false)
+        assert np.array_equal(columns[:, 0], expect_true)
+        assert np.array_equal(columns[:, 1], expect_false)
 
     def test_masked_kernel_treats_masked_cells_as_missing(self):
         n, m = 9, 17
@@ -110,20 +126,20 @@ class TestGatherKernels:
         mask = _random_binary((n, m), seed=6, density=0.7)
         t_rate = np.linspace(0.2, 0.8, n)
         b_rate = np.linspace(0.1, 0.4, n)
-        tables = IndependenceLogTables.build(t_rate, b_rate)
-        log_true, log_false = masked_column_log_likelihoods(sc, mask, tables)
+        table = pair_table(np.array((t_rate, b_rate)))
+        columns = pair_column_log_likelihoods(flat_claim_codes(sc, mask == 0), table)
 
         scf, maskf = sc.astype(float), mask.astype(float)
         expect_true = (
             maskf
             * (scf * np.log(t_rate)[:, None] + (1 - scf) * np.log1p(-t_rate)[:, None])
         ).sum(axis=0)
-        assert np.allclose(log_true, expect_true, atol=0, rtol=0)
+        assert np.allclose(columns[:, 0], expect_true, atol=0, rtol=0)
         # Fully masked column contributes exactly zero.
         sc1 = np.ones((n, 1), dtype=np.int8)
-        zero_mask = np.zeros((n, 1), dtype=np.int8)
-        lt, lf = masked_column_log_likelihoods(sc1, zero_mask, tables)
-        assert lt[0] == 0.0 and lf[0] == 0.0
+        all_missing = np.ones((n, 1), dtype=np.int8)
+        single = pair_column_log_likelihoods(flat_claim_codes(sc1, all_missing), table)
+        assert single[0, 0] == 0.0 and single[0, 1] == 0.0
 
 
 class TestDedup:

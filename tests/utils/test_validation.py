@@ -61,6 +61,44 @@ class TestCheckBinaryMatrix:
         with pytest.raises(ValidationError):
             check_binary_matrix(np.array([[0, 2]]), "m")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[0, 1]], dtype=np.int8),
+            np.array([[1, 0]], dtype=np.uint8),
+            np.array([[0, 1]], dtype=np.int64),
+            np.array([[True, False]]),
+            np.array([[0, 1]], dtype=object),
+            np.array([[True, 0]], dtype=object),
+            np.array([[0.0, 1.0]]),
+            np.array([[-0.0, 1.0]]),
+            np.array([[0.0, 1.0]], dtype=np.float32),
+        ],
+        ids=["int8", "uint8", "int64", "bool", "object", "object-bool", "float",
+             "negative-zero", "float32"],
+    )
+    def test_zero_one_accepted_in_any_dtype(self, matrix):
+        out = check_binary_matrix(matrix, "m")
+        assert out.dtype == np.int8
+        assert np.array_equal(out, np.asarray(matrix, dtype=np.float64))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[0, 2]]),
+            np.array([[-1, 0]]),
+            np.array([[0.5, 1.0]]),
+            np.array([[np.nan, 1.0]]),
+            np.array([[np.inf, 0.0]]),
+            np.array([["0", "1"]]),
+            np.array([["0", 1]], dtype=object),
+        ],
+        ids=["two", "minus-one", "half", "nan", "inf", "strings", "object-string"],
+    )
+    def test_other_values_refused(self, matrix):
+        with pytest.raises(ValidationError):
+            check_binary_matrix(matrix, "m")
+
     def test_wrong_ndim(self):
         with pytest.raises(ValidationError):
             check_binary_matrix(np.array([0, 1]), "m")
