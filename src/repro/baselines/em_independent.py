@@ -14,11 +14,14 @@ conditionally independent given the assertion truth:
   over-counting but throws away whatever information the repeats carry,
   which is the gap EM-Ext closes.
 
-Both ride the shared estimation engine: the masked independence model
-is :class:`~repro.engine.backends.MaskedDenseBackend`, driven by the
-same :class:`~repro.engine.driver.EMDriver` (restarts, convergence,
-tracing, telemetry) the dependency-aware estimators use; EM is the
-special case of an all-ones mask.
+Both ride the shared estimation engine: the independence model is the
+dense backend's own, over the cells of ``(SC, D′)`` — ``D′ = 0`` for
+EM, ``D′ = D`` for EM-Social — which is also what the staged
+initialisation's stage one fits.
+:class:`~repro.engine.backends.MaskedDenseBackend` adapts it to a 0/1
+cell mask (``mask = 1 − D′``), driven by the same
+:class:`~repro.engine.driver.EMDriver` (restarts, convergence, tracing,
+telemetry) the dependency-aware estimators use.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.utils.validation import check_positive_int
 
 
 class _MaskedIndependentEM(FactFinder):
-    """EM on the independence model with an optional cell mask.
+    """EM on the independence model over the cells a 0/1 mask keeps.
 
     Masked cells contribute to neither the likelihood nor the M-step
     counts — they are treated as *missing*, not as non-claims.

@@ -13,9 +13,10 @@ extreme sparsity the pooled model's stability can close the gap
 
 Implementation-wise this is the engine's pluggable-backend design at
 work: a :class:`~repro.engine.backends.DenseBackend` subclass that
-overrides only the M-step (pooled scalar ratios instead of per-source
-ones), driven by the same :class:`~repro.engine.driver.EMDriver` and
-support warm start as every other estimator.
+overrides only the M-step (the pooled ratio of each row of the dense
+count block instead of per-source ratios), driven by the same
+:class:`~repro.engine.driver.EMDriver` and support warm start as every
+other estimator.
 """
 
 from __future__ import annotations
@@ -26,37 +27,35 @@ from repro.baselines.base import FactFinder
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
 from repro.core.result import EstimationResult
 from repro.data.protocol import Problem
-from repro.engine.backends import DenseBackend
+from repro.engine.backends import DenseBackend, _dependency_parameters
 from repro.engine.driver import EMDriver
 from repro.engine.initialisation import support_initialisation
+from repro.engine.statistics import ratio_update
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_positive_int
 
 
 class _PooledDenseBackend(DenseBackend):
-    """Dense backend whose M-step pools counts over the whole population."""
+    """Dense backend whose M-step pools counts over the whole population.
+
+    Each rate is the population ratio of one row of the dense backend's
+    ``(4, n)`` count block — the row's numerators over its denominators,
+    0.5 where the partition has no mass — shared by every source.
+    """
 
     def m_step(
         self, posterior: np.ndarray, previous: SourceParameters
     ) -> SourceParameters:
-        z_mass = posterior
-        y_mass = 1.0 - posterior
-
-        def _pooled(mask: np.ndarray, weight: np.ndarray) -> float:
-            denominator = float((mask @ weight).sum())
-            if denominator <= 0:
-                return 0.5
-            return float(((self.sc * mask) @ weight).sum() / denominator)
-
+        numerators, denominators = self.partition_counts(posterior)
+        pooled = ratio_update(
+            numerators.sum(axis=1, keepdims=True),
+            denominators.sum(axis=1, keepdims=True),
+            fallback=np.full((4, 1), 0.5),
+        )
         z = float(posterior.mean()) if posterior.size else 0.5
-        return SourceParameters.from_scalars(
-            self.n_sources,
-            a=_pooled(self.indep, z_mass),
-            b=_pooled(self.indep, y_mass),
-            f=_pooled(self.dep, z_mass),
-            g=_pooled(self.dep, y_mass),
-            z=z,
-        ).clamp(self.epsilon)
+        return _dependency_parameters(
+            np.repeat(pooled, self.n_sources, axis=1), z, self.epsilon
+        )
 
 
 class PooledEMExt(FactFinder):

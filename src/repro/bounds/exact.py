@@ -32,6 +32,7 @@ from repro.kernels.dedup import group_columns
 from repro.kernels.enumeration import gray_pattern_masses
 from repro.observability import span
 from repro.utils.errors import ValidationError
+from repro.utils.validation import check_binary
 
 if TYPE_CHECKING:  # deferred to keep the bounds import-light
     from repro.resilience.supervisor import Deadline
@@ -97,8 +98,7 @@ def _emission_rates(
             f"d_column has {d.size} entries but parameters describe "
             f"{params.n_sources} sources"
         )
-    if d.size and not np.isin(d, (0, 1)).all():
-        raise ValidationError("d_column must contain only 0/1 entries")
+    check_binary(d, "d_column")
     rate_true = d * params.f + (1.0 - d) * params.a
     rate_false = d * params.g + (1.0 - d) * params.b
     return rate_true, rate_false

@@ -18,9 +18,9 @@ from repro.core.likelihood import (
     posterior_and_log_likelihood,
     posterior_truth,
 )
-from repro.core.matrix import DependencyMatrix, SensingProblem, SourceClaimMatrix
 from repro.core.model import DEFAULT_EPSILON, ParameterTrace, SourceParameters
 from repro.core.result import EstimationResult, FactFindingResult
+from repro.data.dense import DependencyMatrix, SensingProblem, SourceClaimMatrix
 
 __all__ = [
     "DEFAULT_EPSILON",

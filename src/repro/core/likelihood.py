@@ -8,7 +8,8 @@ the reproduction.
 Conventions
 -----------
 * ``sc`` — an ``(n, m)`` 0/1 claim matrix (or an ``(n,)`` column);
-* ``d``  — dependency indicators of the same shape;
+* ``d``  — 0/1 dependency indicators of the same shape (other values
+  are refused);
 * log-probabilities use natural log; impossible events yield ``-inf``
   only if parameters are exactly 0/1 (callers clamp first).
 """
@@ -20,17 +21,14 @@ from typing import Any, Tuple, Union
 
 import numpy as np
 
-from repro.core.matrix import SensingProblem
 from repro.core.model import SourceParameters
+from repro.data.dense import SensingProblem
 from repro.kernels.likelihood import flat_claim_codes, pair_column_log_likelihoods
 from repro.kernels.tables import pair_table
 from repro.utils.errors import ValidationError
+from repro.utils.validation import check_binary
 
 ArrayLike = Union[np.ndarray, list]
-
-
-def _is_binary(values: np.ndarray) -> bool:
-    return bool(((values == 0) | (values == 1)).all())
 
 
 def emission_probability(
@@ -44,31 +42,6 @@ def emission_probability(
     else:
         rate = params.g[source] if d == 1 else params.b[source]
     return float(rate if sc == 1 else 1.0 - rate)
-
-
-def _multiply_add_columns(
-    sc: np.ndarray, d: np.ndarray, params: SourceParameters
-) -> np.ndarray:
-    """Equations (4)/(5) in multiply-add form, for non-binary ``SC`` or ``D``.
-
-    Fractional entries weight the two log rates of each cell; on 0/1
-    input the selection in :func:`pair_column_log_likelihoods` is the
-    defining form.  Returns ``(…, 2)`` like the gather.
-    """
-    def mix(dep_rate: np.ndarray, ind_rate: np.ndarray) -> np.ndarray:
-        if d.ndim == 2:
-            dep_rate, ind_rate = dep_rate[:, None], ind_rate[:, None]
-        return d * dep_rate + (1.0 - d) * ind_rate
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        columns = [
-            (
-                sc * mix(np.log(dep_rate), np.log(ind_rate))
-                + (1.0 - sc) * mix(np.log1p(-dep_rate), np.log1p(-ind_rate))
-            ).sum(axis=0)
-            for dep_rate, ind_rate in ((params.f, params.a), (params.g, params.b))
-        ]
-    return np.stack(columns, axis=-1)
 
 
 def _pair_columns(sc: ArrayLike, d: ArrayLike, params: SourceParameters) -> np.ndarray:
@@ -85,8 +58,8 @@ def _pair_columns(sc: ArrayLike, d: ArrayLike, params: SourceParameters) -> np.n
         raise ValidationError(
             f"matrix has {n} sources but parameters describe {params.n_sources}"
         )
-    if not (_is_binary(sc) and _is_binary(d)):
-        return _multiply_add_columns(sc, d, params)
+    check_binary(sc, "sc")
+    check_binary(d, "d")
     # A single column is an (n, 1) problem; the gather sums it in the
     # same contiguous order as a 1-D sum over the sources.
     matrix_sc, matrix_d = (sc, d) if sc.ndim == 2 else (sc[:, None], d[:, None])
@@ -109,9 +82,11 @@ def column_log_likelihoods(
     -------
     ``(log_p_true, log_p_false)`` — each ``(m,)`` (or scalars for a
     single column): :math:`\\log P(SC_j \\mid C_j = 1; D, θ)` and
-    :math:`\\log P(SC_j \\mid C_j = 0; D, θ)`.  On 0/1 input every
-    cell *selects* its log rate, so a rate of exactly 0 or 1 gives the
-    Equation (4)/(5) value (``0`` or ``-inf``) rather than ``0·(-inf)``.
+    :math:`\\log P(SC_j \\mid C_j = 0; D, θ)`.  Every cell *selects*
+    its log rate, so a rate of exactly 0 or 1 gives the Equation (4)/(5)
+    value (``0`` or ``-inf``) rather than ``0·(-inf)``.  An entry of
+    ``sc`` or ``d`` other than 0 or 1 raises
+    :class:`~repro.utils.errors.ValidationError`.
     """
     columns = _pair_columns(sc, d, params)
     return columns[..., 0], columns[..., 1]

@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.model import ParameterTrace, SourceParameters
 from repro.engine.health import RunHealth
 from repro.utils.errors import ValidationError
+from repro.utils.validation import check_binary
 
 
 @dataclass
@@ -54,8 +55,7 @@ class FactFindingResult:
                 "decisions and scores must have the same shape, got "
                 f"{self.decisions.shape} vs {self.scores.shape}"
             )
-        if self.decisions.size and not np.isin(self.decisions, (0, 1)).all():
-            raise ValidationError("decisions must contain only 0/1 labels")
+        check_binary(self.decisions, "decisions", what="labels")
         self.decisions = self.decisions.astype(np.int8)
 
     @property

@@ -27,7 +27,7 @@ from repro.data.dense import DenseProblem
 from repro.data.memory import check_densify
 from repro.data.protocol import FORMAT_CSR
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_id_list
+from repro.utils.validation import check_binary, check_id_list
 
 
 def _sparse_module() -> Any:
@@ -79,16 +79,14 @@ class CsrProblem:
                 raise ValidationError(
                     f"truth must have shape ({m},), got {truth.shape}"
                 )
-            if truth.size and not np.isin(truth, (0, 1)).all():
-                raise ValidationError("truth must contain only 0/1 labels")
+            check_binary(truth, "truth", what="labels")
             self.truth = truth.astype(np.int8)
 
     @staticmethod
     def _as_int8_csr(sparse: Any, matrix: Any, name: str) -> Any:
         """Validate 0/1 content and compact the data array to int8."""
         csr = sparse.csr_matrix(matrix)
-        if csr.nnz and not np.isin(csr.data, (0, 1)).all():
-            raise ValidationError(f"{name} must contain only 0/1 entries")
+        check_binary(csr.data, name)
         csr = csr.astype(np.int8)
         csr.eliminate_zeros()
         return csr

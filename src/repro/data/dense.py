@@ -36,6 +36,7 @@ import numpy as np
 from repro.data.protocol import FORMAT_DENSE
 from repro.utils.errors import ValidationError
 from repro.utils.validation import (
+    check_binary,
     check_binary_matrix,
     check_id_list,
     check_same_shape,
@@ -236,8 +237,7 @@ class DenseProblem:
                     f"truth must have shape ({self.claims.n_assertions},), "
                     f"got {truth.shape}"
                 )
-            if truth.size and not np.isin(truth, (0, 1)).all():
-                raise ValidationError("truth must contain only 0/1 labels")
+            check_binary(truth, "truth", what="labels")
             self.truth = truth.astype(np.int8)
 
     @classmethod

@@ -4,43 +4,46 @@ A backend owns one representation of the source-claim data and exposes
 the operations the :class:`~repro.engine.driver.EMDriver` and the
 initialisation strategies need:
 
-=====================  ====================================================
-``m_step``             Equations 10–14 via :func:`~repro.engine.statistics.ratio_update`
-``e_step``             Equation 9 posterior + observed-data log likelihood
-``posterior``          Equation 9 posterior only
-``support_counts``     per-assertion independent-claim support
-``masked_rate`` /      the nested independence model over unmasked cells
-``masked_log_likelihoods``  (stage one of the staged initialisation)
-``neutral`` /          parameter construction for warm starts and
-``random_params``      random restarts
-=====================  ====================================================
+======================  ===================================================
+``m_step``              Equations 10–14 via :func:`~repro.engine.statistics.ratio_update`
+``e_step``              Equation 9 posterior + observed-data log likelihood
+``posterior``           Equation 9 posterior only
+``support_counts``      per-assertion independent-claim support
+``independent_m_step``  the nested independence model over the
+``independent_e_step``  independent cells (staged initialisation, EM and
+                        EM-Social)
+``neutral`` /           parameter construction for warm starts and
+``random_params``       random restarts
+======================  ===================================================
 
-Three backends cover the library: :class:`DenseBackend` (ndarray),
-:class:`CSRBackend` (scipy sparse, touching only stored entries) and
-:class:`MaskedDenseBackend` (the two-parameter independence model used
-by the EM / EM-Social baselines).  Dense and CSR produce the same
-fixed points; they differ only in float summation order.
+Two backends cover the storage formats: :class:`DenseBackend` (ndarray)
+and :class:`CSRBackend` (scipy sparse, touching only stored entries).
+Dense and CSR produce the same fixed points; they differ only in float
+summation order.  :class:`MaskedDenseBackend` is a thin adapter that
+runs the dense independence model for the EM / EM-Social baselines.
 
-An EM iteration at paper sizes costs NumPy call overhead, not
-arithmetic, so the dense backends keep their call count low:
+Every M-step takes its rates from one count block: each storage format
+has one count method, which builds a ``(k, n)`` numerator and
+denominator block with one row per rate (``[a, b, f, g]``, or the first
+two rows ``[t, b]`` for the independence model).  One
+:func:`~repro.engine.statistics.ratio_update`, one in-place clamp and,
+in the driver, one convergence delta cover every rate
+(:meth:`SourceParameters._from_rates`).  An EM iteration at paper sizes
+costs NumPy call overhead, not arithmetic, so the dense backend builds
+its masked claim products (``SC⊙(1-D)``, ``SC⊙D``) once at construction
+instead of once per M-step.
 
-* masked claim products (``SC⊙(1-D)``, ``SC⊙D``, ``SC⊙mask``) are
-  precomputed once at construction instead of once per M-step;
-* an M-step stacks its rates in one ``(4, n)`` (or ``(2, n)``) block:
-  one masked divide, one clamp and, in the driver, one convergence
-  delta cover every rate (:meth:`SourceParameters._from_rates`);
-* an E-step takes the rate logs once into a truth-pair table (see
-  :mod:`repro.kernels.tables`), gathers both truth values of every cell
-  with one ``take`` of the backend's ``(n, m)`` cell codes, and derives
-  the posterior and the log likelihood from one log-sum-exp
-  (:func:`~repro.core.likelihood.posterior_and_log_likelihood`).  The
-  dense model and the independence model share the codes ``2·D + SC``:
-  the independence table gives the ``D = 1`` (missing) cells an exact
-  ``0.0``.  Unlike the bounds, the backends do not group identical
-  columns: EM problems almost never repeat an ``(SC, D)`` column, and
-  NumPy sums a one-column ``(n, 1)`` block in a different order from
-  an ``(n, m)`` one, so a grouped E-step would not keep the lanes'
-  bits.
+An E-step takes the rate logs once into a truth-pair table (see
+:mod:`repro.kernels.tables`), gathers both truth values of every cell
+with one ``take`` of the backend's ``(n, m)`` cell codes, and derives
+the posterior and the log likelihood from one log-sum-exp
+(:func:`~repro.core.likelihood.posterior_and_log_likelihood`).  The
+dense model and the independence model share the codes ``2·D + SC``:
+the independence table gives the ``D = 1`` (missing) cells an exact
+``0.0``.  Unlike the bounds, the backends do not group identical
+columns: EM problems almost never repeat an ``(SC, D)`` column, and
+NumPy sums a one-column ``(n, 1)`` block in a different order from an
+``(n, m)`` one, so a grouped E-step would not keep the lanes' bits.
 
 Every step is an exact selection or an elementwise reuse of the same
 floating-point operations in the same order, so the backends stay bit
@@ -53,27 +56,30 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Tuple, Union
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.likelihood import posterior_and_log_likelihood
-from repro.core.matrix import SensingProblem
 from repro.core.model import (
     DEFAULT_EPSILON,
     SourceParameters,
     clip_probability,
     clip_rates,
 )
-from repro.engine.statistics import CountMap, ratio_update
+from repro.engine.statistics import ratio_update
 from repro.kernels.likelihood import flat_claim_codes, pair_column_log_likelihoods
 from repro.kernels.tables import pair_table
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_probability
+from repro.utils.validation import check_binary, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.data.csr import CsrProblem
+    from repro.data.dense import DenseProblem
     from repro.data.protocol import Problem
+
+#: A ``(numerators, denominators)`` pair of ``(k, n)`` count blocks.
+_Counts = Tuple[np.ndarray, np.ndarray]
 
 
 def _matvec(matrix: Any, vector: np.ndarray) -> np.ndarray:
@@ -119,327 +125,6 @@ def _dependency_parameters(
     )
 
 
-class DenseBackend:
-    """Dense ndarray backend for the dependency-aware model."""
-
-    def __init__(
-        self,
-        problem: SensingProblem,
-        *,
-        smoothing: float = 0.0,
-        epsilon: float = DEFAULT_EPSILON,
-    ) -> None:
-        self.problem = problem
-        self.smoothing = smoothing
-        self.epsilon = epsilon
-        self.sc = problem.claims.values.astype(np.float64)
-        self.dep = problem.dependency.values.astype(np.float64)
-        self.indep = 1.0 - self.dep
-        # Masked claim products, built once instead of once per M-step.
-        self.sc_indep = self.sc * self.indep
-        self.sc_dep = self.sc * self.dep
-        # Flat pair-table rows (4·source + 2·D + SC): both models' gathers.
-        self._codes = flat_claim_codes(self.sc != 0, self.dep != 0)
-
-    @property
-    def n_sources(self) -> int:
-        return self.sc.shape[0]
-
-    @property
-    def n_assertions(self) -> int:
-        return self.sc.shape[1]
-
-    # -- parameter construction --------------------------------------------------
-
-    def neutral(self) -> SourceParameters:
-        """The symmetry-breaking neutral start shared by all warm starts."""
-        return SourceParameters.from_scalars(
-            self.n_sources, a=0.55, b=0.45, f=0.55, g=0.45, z=0.5
-        )
-
-    def random_params(self, rng: np.random.Generator) -> SourceParameters:
-        """A random informative draw (the paper's random initialisation)."""
-        return SourceParameters.random(self.n_sources, rng).clamp(self.epsilon)
-
-    # -- EM steps ----------------------------------------------------------------
-
-    def support_counts(self) -> np.ndarray:
-        """Per-assertion count of *independent* supporting claims."""
-        return self.sc_indep.sum(axis=0)
-
-    def m_step(
-        self, posterior: np.ndarray, previous: SourceParameters
-    ) -> SourceParameters:
-        """Equations (10)–(14), vectorised.
-
-        For each source ``i`` the updates are ratios of posterior mass
-        over the four cell partitions; e.g. Equation (10):
-
-        .. math::
-            a_i = \\frac{\\sum_{j: SC_{ij}=1, D_{ij}=0} Z_j}
-                        {\\sum_{j: D_{ij}=0} Z_j}
-
-        The denominator runs over the union
-        :math:`S_iC_1^{D_0} \\cup S_iC_0^{D_0}` — all independent cells.
-        The four ratios are one ``(4, n)`` ``[a, b, f, g]`` block.
-        """
-        z_post = posterior  # Z_j = P(C_j = 1 | ·)
-        y_post = 1.0 - posterior  # Y_j = P(C_j = 0 | ·)
-        rates = ratio_update(
-            np.array(
-                (
-                    self.sc_indep @ z_post,
-                    self.sc_indep @ y_post,
-                    self.sc_dep @ z_post,
-                    self.sc_dep @ y_post,
-                )
-            ),
-            np.array(
-                (
-                    self.indep @ z_post,
-                    self.indep @ y_post,
-                    self.dep @ z_post,
-                    self.dep @ y_post,
-                )
-            ),
-            smoothing=self.smoothing,
-            fallback=previous._rate_block(),
-        )
-        return _dependency_parameters(
-            rates, _prior_update(posterior, previous), self.epsilon
-        )
-
-    def _columns(self, params: SourceParameters) -> np.ndarray:
-        """``(m, 2)`` Equations (4)/(5) log likelihoods of every column."""
-        return pair_column_log_likelihoods(
-            self._codes, pair_table(params._rate_block())
-        )
-
-    def posterior(self, params: SourceParameters) -> np.ndarray:
-        """Equation (9) truth posterior for every assertion."""
-        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
-
-    def e_step(
-        self, params: SourceParameters
-    ) -> Tuple[np.ndarray, float]:
-        """Posterior plus the observed-data log likelihood (Equation 7)."""
-        return posterior_and_log_likelihood(self._columns(params), params.z)
-
-    def partition_counts(
-        self, posterior: np.ndarray
-    ) -> Tuple[CountMap, Tuple[float, float]]:
-        """Raw (numerator, denominator) counts of the four M-step ratios.
-
-        The streaming estimator accumulates these into its decayed
-        :class:`~repro.engine.statistics.SufficientStatistics`.
-        """
-        y_posterior = 1.0 - posterior
-        counts = {
-            "a": (self.sc_indep @ posterior, self.indep @ posterior),
-            "f": (self.sc_dep @ posterior, self.dep @ posterior),
-            "b": (self.sc_indep @ y_posterior, self.indep @ y_posterior),
-            "g": (self.sc_dep @ y_posterior, self.dep @ y_posterior),
-        }
-        return counts, (float(posterior.sum()), float(posterior.size))
-
-    # -- nested independence model over independent cells (staged init) ----------
-
-    def masked_rate(self, weight: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        """One independence-model rate over independent cells only."""
-        ratio = ratio_update(
-            self.sc_indep @ weight,
-            self.indep @ weight,
-            smoothing=self.smoothing,
-            fallback=previous,
-        )
-        return clip_rates(ratio, self.epsilon, out=ratio)
-
-    def masked_log_likelihoods(
-        self, t_rate: np.ndarray, b_rate: np.ndarray
-    ) -> np.ndarray:
-        """Independence-model column log likelihoods over independent cells.
-
-        Returns ``(2, m)``: row 0 given a true assertion, row 1 given a
-        false one.  The dependent cells are missing: the independence
-        table gathers an exact ``0.0`` for codes 2 and 3.
-        """
-        return pair_column_log_likelihoods(
-            self._codes, pair_table(np.array((t_rate, b_rate)))
-        ).T
-
-
-class CSRBackend:
-    """Sparse (CSR) backend: every E- and M-step quantity is a sparse mat-vec.
-
-    E-step decomposition (per assertion column ``j``, truth value true):
-
-    .. math::
-        \\log P(SC_j | C_j = 1) = \\underbrace{\\sum_i \\log(1 - a_i)}_{base}
-            + \\sum_{i: D_{ij}=1} \\big(\\log(1-f_i) - \\log(1-a_i)\\big)
-            + \\sum_{i: SC_{ij}=1, D_{ij}=0} \\big(\\log a_i - \\log(1-a_i)\\big)
-            + \\sum_{i: SC_{ij}=1, D_{ij}=1} \\big(\\log f_i - \\log(1-f_i)\\big)
-
-    i.e. one scalar plus three sparse-matrix transpose products.  The
-    false-branch term is identical with ``(b, g)``.  M-step ratios
-    become, e.g.
-
-    .. math::
-        a_i = \\frac{(SC \\odot (1-D))\\, Z}{(\\mathbf{1} - D)\\, Z}
-            = \\frac{(SC - SC \\odot D)\\, Z}{\\sum_j Z_j - D\\, Z}
-
-    which again touch only stored entries.  The two ``D @ weight``
-    products are computed once per M-step (they feed two ratios each)
-    and the log table once per θ.
-    """
-
-    def __init__(
-        self,
-        problem: "CsrProblem",
-        *,
-        smoothing: float = 0.0,
-        epsilon: float = DEFAULT_EPSILON,
-    ) -> None:
-        self.problem = problem
-        self.smoothing = smoothing
-        self.epsilon = epsilon
-        # The problem stores int8 data; the BLAS boundary is here — all
-        # mat-vec products below run in float64, exactly as they did
-        # when the container itself stored float64 (values are 0/1, so
-        # the cast is exact and the fixed points bit-identical).
-        sc = problem.claims.astype(np.float64)
-        self.dep = problem.dependency.astype(np.float64)
-        self.sc_dep = sc.multiply(self.dep).tocsr()  # dependent claims
-        self.sc_indep = (sc - self.sc_dep).tocsr()  # independent claims
-        # Sources whose every cell is dependent: their subtracted
-        # independent-cell mass is a rounding residue, not 0.
-        self._all_dependent = (
-            np.asarray(self.dep.sum(axis=1)).ravel() == self.dep.shape[1]
-        )
-
-    @property
-    def n_sources(self) -> int:
-        return self.dep.shape[0]
-
-    @property
-    def n_assertions(self) -> int:
-        return self.dep.shape[1]
-
-    # -- parameter construction --------------------------------------------------
-
-    def neutral(self) -> SourceParameters:
-        return SourceParameters.from_scalars(
-            self.n_sources, a=0.55, b=0.45, f=0.55, g=0.45, z=0.5
-        )
-
-    def random_params(self, rng: np.random.Generator) -> SourceParameters:
-        raise ValidationError(
-            "the CSR backend does not support random initialisation"
-        )
-
-    # -- EM steps ----------------------------------------------------------------
-
-    def support_counts(self) -> np.ndarray:
-        return np.asarray(self.sc_indep.sum(axis=0)).ravel()
-
-    def _independent_mass(self, total: float, dependent: np.ndarray) -> np.ndarray:
-        """Each source's weight over its independent cells, ``Σ_j w_j − (D w)_i``.
-
-        Exactly 0 for a source with no independent cell, so its ratio
-        keeps the fallback as the dense backend's does.
-        """
-        mass = total - dependent
-        mass[self._all_dependent] = 0.0
-        return mass
-
-    def m_step(
-        self, posterior: np.ndarray, previous: SourceParameters
-    ) -> SourceParameters:
-        z_mass = posterior
-        y_mass = 1.0 - posterior
-        # Each D @ weight feeds two ratios; compute them once.
-        dep_z = _matvec(self.dep, z_mass)
-        dep_y = _matvec(self.dep, y_mass)
-        rates = ratio_update(
-            np.array(
-                (
-                    _matvec(self.sc_indep, z_mass),
-                    _matvec(self.sc_indep, y_mass),
-                    _matvec(self.sc_dep, z_mass),
-                    _matvec(self.sc_dep, y_mass),
-                )
-            ),
-            np.array(
-                (
-                    self._independent_mass(float(z_mass.sum()), dep_z),
-                    self._independent_mass(float(y_mass.sum()), dep_y),
-                    dep_z,
-                    dep_y,
-                )
-            ),
-            smoothing=self.smoothing,
-            fallback=previous._rate_block(),
-            clip_ratio=True,
-        )
-        return _dependency_parameters(
-            rates, _prior_update(posterior, previous), self.epsilon
-        )
-
-    def _columns(self, params: SourceParameters) -> np.ndarray:
-        """``(m, 2)`` column log likelihoods: a base plus three corrections each."""
-        # (n, code, truth) view of the pair table: code 0 silent
-        # independent, 1 independent claim, 2 silent dependent, 3
-        # dependent claim.
-        logs = pair_table(params._rate_block()).reshape(-1, 4, 2)
-        dep_t = self.dep.T
-        indep_t = self.sc_indep.T
-        dep_claims_t = self.sc_dep.T
-        return np.stack(
-            [
-                float(logs[:, 0, truth].sum())
-                + _matvec(dep_t, logs[:, 2, truth] - logs[:, 0, truth])
-                + _matvec(indep_t, logs[:, 1, truth] - logs[:, 0, truth])
-                + _matvec(dep_claims_t, logs[:, 3, truth] - logs[:, 2, truth])
-                for truth in (0, 1)
-            ],
-            axis=-1,
-        )
-
-    def posterior(self, params: SourceParameters) -> np.ndarray:
-        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
-
-    def e_step(
-        self, params: SourceParameters
-    ) -> Tuple[np.ndarray, float]:
-        return posterior_and_log_likelihood(self._columns(params), params.z)
-
-    # -- nested independence model over independent cells (staged init) ----------
-
-    def masked_rate(self, weight: np.ndarray, previous: np.ndarray) -> np.ndarray:
-        ratio = ratio_update(
-            _matvec(self.sc_indep, weight),
-            self._independent_mass(float(weight.sum()), _matvec(self.dep, weight)),
-            smoothing=self.smoothing,
-            fallback=previous,
-        )
-        return clip_rates(ratio, self.epsilon, out=ratio)
-
-    def masked_log_likelihoods(
-        self, t_rate: np.ndarray, b_rate: np.ndarray
-    ) -> np.ndarray:
-        """``(2, m)``: the base over all sources, less the dependent cells, plus claims."""
-        logs = pair_table(np.array((t_rate, b_rate))).reshape(-1, 4, 2)
-        dep_t = self.dep.T
-        sc_t = self.sc_indep.T
-        return np.array(
-            [
-                float(logs[:, 0, truth].sum())
-                - _matvec(dep_t, logs[:, 0, truth])
-                + _matvec(sc_t, logs[:, 1, truth] - logs[:, 0, truth])
-                for truth in (0, 1)
-            ]
-        )
-
-
 @dataclass(frozen=True)
 class IndependentParameters:
     """θ of the two-parameter independence model: per-source (t, b) and prior z."""
@@ -476,14 +161,335 @@ class IndependentParameters:
         return max(delta, rates)
 
 
+class _PartitionBackend:
+    """The steps both storage formats share, over their one count method.
+
+    A subclass supplies ``_counts`` (the ``(k, n)`` count blocks of the
+    first ``k`` rates of ``[a, b, f, g]``), ``_columns`` and
+    ``_independent_columns`` (``(m, 2)`` column log likelihoods of the
+    two models), ``dep`` and the smoothing and epsilon settings.
+    """
+
+    smoothing: float
+    epsilon: float
+    dep: Any
+    #: Clip each dependency-model ratio into ``[0, 1]`` before the clamp.
+    _clip_ratio = False
+
+    def _counts(self, posterior: np.ndarray, rows: int) -> _Counts:
+        raise NotImplementedError
+
+    def _columns(self, params: SourceParameters) -> np.ndarray:
+        raise NotImplementedError
+
+    def _independent_columns(self, params: IndependentParameters) -> np.ndarray:
+        raise NotImplementedError
+
+    @property
+    def n_sources(self) -> int:
+        return int(self.dep.shape[0])
+
+    @property
+    def n_assertions(self) -> int:
+        return int(self.dep.shape[1])
+
+    # -- parameter construction --------------------------------------------------
+
+    def neutral(self) -> SourceParameters:
+        """The symmetry-breaking neutral start shared by all warm starts."""
+        return SourceParameters.from_scalars(
+            self.n_sources, a=0.55, b=0.45, f=0.55, g=0.45, z=0.5
+        )
+
+    # -- EM steps ----------------------------------------------------------------
+
+    def m_step(
+        self, posterior: np.ndarray, previous: SourceParameters
+    ) -> SourceParameters:
+        """Equations (10)–(14), vectorised.
+
+        For each source ``i`` the updates are ratios of posterior mass
+        over the four cell partitions; e.g. Equation (10):
+
+        .. math::
+            a_i = \\frac{\\sum_{j: SC_{ij}=1, D_{ij}=0} Z_j}
+                        {\\sum_{j: D_{ij}=0} Z_j}
+
+        The denominator runs over the union
+        :math:`S_iC_1^{D_0} \\cup S_iC_0^{D_0}` — all independent cells.
+        The four ratios are one ``(4, n)`` ``[a, b, f, g]`` block.
+        """
+        rates = ratio_update(
+            *self._counts(posterior, 4),
+            smoothing=self.smoothing,
+            fallback=previous._rate_block(),
+            clip_ratio=self._clip_ratio,
+        )
+        return _dependency_parameters(
+            rates, _prior_update(posterior, previous), self.epsilon
+        )
+
+    def posterior(self, params: SourceParameters) -> np.ndarray:
+        """Equation (9) truth posterior for every assertion."""
+        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
+
+    def e_step(
+        self, params: SourceParameters
+    ) -> Tuple[np.ndarray, float]:
+        """Posterior plus the observed-data log likelihood (Equation 7)."""
+        return posterior_and_log_likelihood(self._columns(params), params.z)
+
+    # -- nested independence model over independent cells ---------------------------
+
+    def independent_m_step(
+        self, posterior: np.ndarray, previous: IndependentParameters
+    ) -> IndependentParameters:
+        """Equations (10)/(11) of the independence model over the independent cells.
+
+        The counts are the first two rows of the dependency model's
+        block, so ``t`` and ``b`` are its ``a`` and ``b`` ratios: one
+        ``(2, n)`` ``[t, b]`` block, clamped in place.
+        """
+        rates = ratio_update(
+            *self._counts(posterior, 2),
+            smoothing=self.smoothing,
+            fallback=previous._rate_block(),
+        )
+        return IndependentParameters._from_rates(
+            clip_rates(rates, self.epsilon, out=rates),
+            clip_probability(_prior_update(posterior, previous), self.epsilon),
+        )
+
+    def independent_e_step(
+        self, params: IndependentParameters
+    ) -> Tuple[np.ndarray, float]:
+        """Posterior and Equation (7) total of the independence model.
+
+        The dependent cells are missing: they add nothing to either
+        column log likelihood.
+        """
+        return posterior_and_log_likelihood(
+            self._independent_columns(params), params.z
+        )
+
+
+class DenseBackend(_PartitionBackend):
+    """Dense ndarray backend: the dependency-aware model and, over the same
+    cells, the independence model of its independent cells."""
+
+    def __init__(
+        self,
+        problem: "DenseProblem",
+        *,
+        smoothing: float = 0.0,
+        epsilon: float = DEFAULT_EPSILON,
+    ) -> None:
+        self.problem: Optional["DenseProblem"] = problem
+        self._set_cells(
+            problem.claims.values, problem.dependency.values, smoothing, epsilon
+        )
+
+    @classmethod
+    def _of_cells(
+        cls, sc: np.ndarray, dep: np.ndarray, *, smoothing: float, epsilon: float
+    ) -> "DenseBackend":
+        """A backend over 0/1 ``(SC, D)`` arrays, with no problem container."""
+        backend = cls.__new__(cls)
+        backend.problem = None
+        backend._set_cells(sc, dep, smoothing, epsilon)
+        return backend
+
+    def _set_cells(
+        self, sc: np.ndarray, dep: np.ndarray, smoothing: float, epsilon: float
+    ) -> None:
+        """Adopt the cells as float64 and build the per-problem products."""
+        self.smoothing = smoothing
+        self.epsilon = epsilon
+        self.sc = np.asarray(sc, dtype=np.float64)
+        self.dep = np.asarray(dep, dtype=np.float64)
+        self.indep = 1.0 - self.dep
+        # Masked claim products, built once instead of once per M-step.
+        self.sc_indep = self.sc * self.indep
+        self.sc_dep = self.sc * self.dep
+        # Flat pair-table rows (4·source + 2·D + SC): both models' gathers.
+        self._codes = flat_claim_codes(self.sc != 0, self.dep != 0)
+
+    # -- parameter construction --------------------------------------------------
+
+    def random_params(self, rng: np.random.Generator) -> SourceParameters:
+        """A random informative draw (the paper's random initialisation)."""
+        return SourceParameters.random(self.n_sources, rng).clamp(self.epsilon)
+
+    # -- EM steps ----------------------------------------------------------------
+
+    def support_counts(self) -> np.ndarray:
+        """Per-assertion count of *independent* supporting claims."""
+        return self.sc_indep.sum(axis=0)
+
+    def _counts(self, posterior: np.ndarray, rows: int) -> _Counts:
+        """``(rows, n)`` claim-mass and cell-mass blocks, rows ``[a, b, f, g][:rows]``."""
+        y_post = 1.0 - posterior  # Y_j = P(C_j = 0 | ·); posterior is Z_j
+        claims = [self.sc_indep @ posterior, self.sc_indep @ y_post]
+        cells = [self.indep @ posterior, self.indep @ y_post]
+        if rows == 4:
+            claims += (self.sc_dep @ posterior, self.sc_dep @ y_post)
+            cells += (self.dep @ posterior, self.dep @ y_post)
+        return np.array(claims), np.array(cells)
+
+    def partition_counts(self, posterior: np.ndarray) -> _Counts:
+        """The ``(4, n)`` numerator and denominator blocks :meth:`m_step` divides.
+
+        The streaming estimator accumulates these into its decayed
+        :class:`~repro.engine.statistics.SufficientStatistics`.
+        """
+        return self._counts(posterior, 4)
+
+    def _columns(self, params: Any) -> np.ndarray:
+        """``(m, 2)`` Equations (4)/(5) log likelihoods of every column.
+
+        ``params`` carries a ``(4, n)`` or an independence ``(2, n)``
+        rate block: the latter's table gathers ``0.0`` for the
+        dependent cells, so one gather serves both models.
+        """
+        return pair_column_log_likelihoods(
+            self._codes, pair_table(params._rate_block())
+        )
+
+    _independent_columns = _columns
+
+
+class CSRBackend(_PartitionBackend):
+    """Sparse (CSR) backend: every E- and M-step quantity is a sparse mat-vec.
+
+    E-step decomposition (per assertion column ``j``, truth value true):
+
+    .. math::
+        \\log P(SC_j | C_j = 1) = \\underbrace{\\sum_i \\log(1 - a_i)}_{base}
+            + \\sum_{i: D_{ij}=1} \\big(\\log(1-f_i) - \\log(1-a_i)\\big)
+            + \\sum_{i: SC_{ij}=1, D_{ij}=0} \\big(\\log a_i - \\log(1-a_i)\\big)
+            + \\sum_{i: SC_{ij}=1, D_{ij}=1} \\big(\\log f_i - \\log(1-f_i)\\big)
+
+    i.e. one scalar plus three sparse-matrix transpose products.  The
+    false-branch term is identical with ``(b, g)``.  M-step ratios
+    become, e.g.
+
+    .. math::
+        a_i = \\frac{(SC \\odot (1-D))\\, Z}{(\\mathbf{1} - D)\\, Z}
+            = \\frac{(SC - SC \\odot D)\\, Z}{\\sum_j Z_j - D\\, Z}
+
+    which again touch only stored entries.  The two ``D @ weight``
+    products are computed once per M-step (they feed two ratios each)
+    and the log table once per θ.
+    """
+
+    _clip_ratio = True
+
+    def __init__(
+        self,
+        problem: "CsrProblem",
+        *,
+        smoothing: float = 0.0,
+        epsilon: float = DEFAULT_EPSILON,
+    ) -> None:
+        self.problem = problem
+        self.smoothing = smoothing
+        self.epsilon = epsilon
+        # The problem stores int8 data; the BLAS boundary is here — all
+        # mat-vec products below run in float64, exactly as they did
+        # when the container itself stored float64 (values are 0/1, so
+        # the cast is exact and the fixed points bit-identical).
+        sc = problem.claims.astype(np.float64)
+        self.dep = problem.dependency.astype(np.float64)
+        self.sc_dep = sc.multiply(self.dep).tocsr()  # dependent claims
+        self.sc_indep = (sc - self.sc_dep).tocsr()  # independent claims
+        # Sources whose every cell is dependent: their subtracted
+        # independent-cell mass is a rounding residue, not 0.
+        self._all_dependent = (
+            np.asarray(self.dep.sum(axis=1)).ravel() == self.dep.shape[1]
+        )
+
+    # -- parameter construction --------------------------------------------------
+
+    def random_params(self, rng: np.random.Generator) -> SourceParameters:
+        raise ValidationError(
+            "the CSR backend does not support random initialisation"
+        )
+
+    # -- EM steps ----------------------------------------------------------------
+
+    def support_counts(self) -> np.ndarray:
+        return np.asarray(self.sc_indep.sum(axis=0)).ravel()
+
+    def _independent_mass(self, total: float, dependent: np.ndarray) -> np.ndarray:
+        """Each source's weight over its independent cells, ``Σ_j w_j − (D w)_i``.
+
+        Exactly 0 for a source with no independent cell, so its ratio
+        keeps the fallback as the dense backend's does.
+        """
+        mass = total - dependent
+        mass[self._all_dependent] = 0.0
+        return mass
+
+    def _counts(self, posterior: np.ndarray, rows: int) -> _Counts:
+        """``(rows, n)`` count blocks; each ``D @ weight`` feeds two rows."""
+        weights = (posterior, 1.0 - posterior)
+        dependent = [_matvec(self.dep, w) for w in weights]
+        numerators = [_matvec(self.sc_indep, w) for w in weights]
+        denominators = [
+            self._independent_mass(float(w.sum()), mass)
+            for w, mass in zip(weights, dependent)
+        ]
+        if rows == 4:
+            numerators += [_matvec(self.sc_dep, w) for w in weights]
+            denominators += dependent
+        return np.array(numerators), np.array(denominators)
+
+    def _columns(self, params: SourceParameters) -> np.ndarray:
+        """``(m, 2)`` column log likelihoods: a base plus three corrections each."""
+        # (n, code, truth) view of the pair table: code 0 silent
+        # independent, 1 independent claim, 2 silent dependent, 3
+        # dependent claim.
+        logs = pair_table(params._rate_block()).reshape(-1, 4, 2)
+        dep_t = self.dep.T
+        indep_t = self.sc_indep.T
+        dep_claims_t = self.sc_dep.T
+        return np.stack(
+            [
+                float(logs[:, 0, truth].sum())
+                + _matvec(dep_t, logs[:, 2, truth] - logs[:, 0, truth])
+                + _matvec(indep_t, logs[:, 1, truth] - logs[:, 0, truth])
+                + _matvec(dep_claims_t, logs[:, 3, truth] - logs[:, 2, truth])
+                for truth in (0, 1)
+            ],
+            axis=-1,
+        )
+
+    def _independent_columns(self, params: IndependentParameters) -> np.ndarray:
+        """``(m, 2)``: the base over all sources, less the dependent cells, plus claims."""
+        logs = pair_table(params._rate_block()).reshape(-1, 4, 2)
+        dep_t = self.dep.T
+        sc_t = self.sc_indep.T
+        return np.stack(
+            [
+                float(logs[:, 0, truth].sum())
+                - _matvec(dep_t, logs[:, 0, truth])
+                + _matvec(sc_t, logs[:, 1, truth] - logs[:, 0, truth])
+                for truth in (0, 1)
+            ],
+            axis=-1,
+        )
+
+
 class MaskedDenseBackend:
-    """Dense backend for the two-parameter independence model.
+    """The two-parameter independence model over the cells a 0/1 mask keeps.
 
     Masked cells contribute to neither the likelihood nor the M-step
-    counts — they are treated as *missing*, not as non-claims.  The
-    EM (IPSN 2012) baseline is the special case of an all-ones mask;
-    EM-Social (IPSN 2014) masks out every dependent cell, and then its
-    cell codes ``2·(1 - mask) + SC`` are :class:`DenseBackend`'s.
+    counts — they are treated as *missing*, not as non-claims.  This is
+    :class:`DenseBackend`'s independence model over the cells of
+    ``(SC, D′ = 1 − mask)``: the EM (IPSN 2012) baseline passes an
+    all-ones mask and EM-Social (IPSN 2014) passes ``1 − D``.  It stays
+    a class of its own because ``bench/layers.py`` times its two steps
+    as the ``engine.masked.step`` layer.
 
     Parameters are :class:`IndependentParameters` (per-source ``t, b``
     plus the prior ``z``), not the full
@@ -498,24 +504,22 @@ class MaskedDenseBackend:
         smoothing: float = 0.0,
         epsilon: float = DEFAULT_EPSILON,
     ) -> None:
-        if mask.shape != sc.shape:
+        if np.shape(mask) != np.shape(sc):
             raise ValidationError(
-                f"mask shape {mask.shape} does not match claims {sc.shape}"
+                f"mask shape {np.shape(mask)} does not match claims {np.shape(sc)}"
             )
-        self.sc = sc
-        self.mask = mask
-        self.smoothing = smoothing
         self.epsilon = epsilon
-        self.sc_mask = sc * mask
-        self._codes = flat_claim_codes(np.asarray(sc) != 0, np.asarray(mask) == 0)
+        self._cells = DenseBackend._of_cells(
+            sc, 1.0 - check_binary(mask, "mask"), smoothing=smoothing, epsilon=epsilon
+        )
 
     @property
     def n_sources(self) -> int:
-        return self.sc.shape[0]
+        return self._cells.n_sources
 
     @property
     def n_assertions(self) -> int:
-        return self.sc.shape[1]
+        return self._cells.n_assertions
 
     # -- parameter construction --------------------------------------------------
 
@@ -536,36 +540,18 @@ class MaskedDenseBackend:
     # -- EM steps ----------------------------------------------------------------
 
     def support_counts(self) -> np.ndarray:
-        return self.sc_mask.sum(axis=0)
+        return self._cells.support_counts()
 
     def m_step(
         self, posterior: np.ndarray, previous: IndependentParameters
     ) -> IndependentParameters:
-        """The two rates as one ``(2, n)`` ``[t, b]`` block, clamped in place."""
-        z_post = posterior
-        y_post = 1.0 - posterior
-        rates = ratio_update(
-            np.array((self.sc_mask @ z_post, self.sc_mask @ y_post)),
-            np.array((self.mask @ z_post, self.mask @ y_post)),
-            smoothing=self.smoothing,
-            fallback=previous._rate_block(),
-        )
-        return IndependentParameters._from_rates(
-            clip_rates(rates, self.epsilon, out=rates),
-            clip_probability(_prior_update(posterior, previous), self.epsilon),
-        )
-
-    def _columns(self, params: IndependentParameters) -> np.ndarray:
-        """``(m, 2)`` log likelihoods of every column over its unmasked cells."""
-        return pair_column_log_likelihoods(
-            self._codes, pair_table(params._rate_block())
-        )
+        return self._cells.independent_m_step(posterior, previous)
 
     def posterior(self, params: IndependentParameters) -> np.ndarray:
-        return posterior_and_log_likelihood(self._columns(params), params.z)[0]
+        return self._cells.independent_e_step(params)[0]
 
     def e_step(self, params: IndependentParameters) -> Tuple[np.ndarray, float]:
-        return posterior_and_log_likelihood(self._columns(params), params.z)
+        return self._cells.independent_e_step(params)
 
 
 def make_backend(

@@ -27,14 +27,16 @@ Because these problems are launch-bound, the batched step keeps its
 NumPy call count close to *one serial iteration's* rather than B of
 them.  The tricks, each bitwise-neutral:
 
-* the four rates live in one ``(B, n, 4)`` tensor (layout
-  ``[a, b, f, g]``), so clamping, convergence deltas and the NaN fault
-  probe are single fused calls (elementwise ops don't care about
+* the four rates live in one C-contiguous ``(B, 4, n)`` tensor, each
+  lane a :meth:`~repro.core.model.SourceParameters._rate_block` with
+  rows ``[a, b, f, g]``, so clamping, convergence deltas and the NaN
+  fault probe are single fused calls (elementwise ops don't care about
   stacking; max and NaN-ness are order-insensitive);
-* the unsmoothed M-step ratio is one masked divide over the whole
-  ``(B, n, 4)`` count stack (Equations 10–14 share the ratio form);
-  the smoothed path falls back to four per-rate updates because the
-  pooled reductions must keep the serial contiguous summation order;
+* the M-step ratio is one :func:`~repro.engine.statistics.ratio_update`
+  over C-contiguous ``(B, 4, n)`` count blocks (Equations 10–14 share
+  the ratio form).  Smoothing's pooled sums run along each contiguous
+  source row, the serial block's summation order; over a strided view
+  of the same block they would change bits;
 * every lane's log table is a block of one truth-pair table (see
   :mod:`repro.kernels.tables`), so the true and false column
   log-likelihoods of all lanes are a *single* ``take`` of the
@@ -127,13 +129,13 @@ _Z_FAULT = "ValidationError: z must be a probability, got NaN"
 class BatchedSourceParameters:
     """B stacked :class:`~repro.core.model.SourceParameters` lanes.
 
-    The four rates live in one C-contiguous ``(B, n, 4)`` tensor with
-    column layout ``[a, b, f, g]`` (the M-step update order); the prior
-    ``z`` is ``(B,)``.  The single tensor lets clamping, convergence
-    deltas and the fault probe run as one fused NumPy call each instead
-    of four — the per-call dispatch is what dominates at paper sizes.
-    Immutable like its scalar twin; all update operations return new
-    instances.
+    The four rates live in one C-contiguous ``(B, 4, n)`` tensor whose
+    lane ``b`` is that lane's ``(4, n)`` ``[a, b, f, g]`` rate block;
+    the prior ``z`` is ``(B,)``.  The single tensor lets clamping,
+    convergence deltas and the fault probe run as one fused NumPy call
+    each instead of four — the per-call dispatch is what dominates at
+    paper sizes.  Immutable like its scalar twin; all update operations
+    return new instances.
     """
 
     rates: np.ndarray
@@ -143,7 +145,7 @@ class BatchedSourceParameters:
     def stack(
         cls, params: Sequence[SourceParameters]
     ) -> "BatchedSourceParameters":
-        """Stack validated scalar parameter sets into ``(B, n, 4)`` lanes."""
+        """Stack validated scalar parameter sets into ``(B, 4, n)`` lanes."""
         if not params:
             raise ValidationError("cannot stack an empty parameter sequence")
         sizes = {p.n_sources for p in params}
@@ -151,14 +153,10 @@ class BatchedSourceParameters:
             raise ValidationError(
                 f"cannot stack parameters over different source counts: {sorted(sizes)}"
             )
-        n_sources = sizes.pop()
-        rates = np.empty((len(params), n_sources, 4))
+        rates = np.empty((len(params), 4, sizes.pop()))
         z = np.empty(len(params))
         for index, p in enumerate(params):
-            rates[index, :, 0] = p.a
-            rates[index, :, 1] = p.b
-            rates[index, :, 2] = p.f
-            rates[index, :, 3] = p.g
+            rates[index] = p._rate_block()
             z[index] = p.z
         return cls(rates=rates, z=z)
 
@@ -168,53 +166,29 @@ class BatchedSourceParameters:
 
     @property
     def n_sources(self) -> int:
-        return self.rates.shape[1]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.rates[:, :, 0]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.rates[:, :, 1]
-
-    @property
-    def f(self) -> np.ndarray:
-        return self.rates[:, :, 2]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.rates[:, :, 3]
+        return self.rates.shape[2]
 
     def lane(self, index: int) -> SourceParameters:
         """Lane ``index`` as a scalar parameter set (a fresh rate block).
 
-        The rows were produced by validated constructions or by
-        :meth:`clamp`, so the no-revalidation constructor applies.
+        The rows were produced by validated constructions or by a
+        clamped M-step, so the no-revalidation constructor applies.
         """
         return SourceParameters._from_rates(
-            self.rates[index].T.copy(), float(self.z[index])
+            self.rates[index].copy(), float(self.z[index])
         )
 
     def select(self, keep: np.ndarray) -> "BatchedSourceParameters":
         """The sub-batch of lanes ``keep`` (fancy-index compaction)."""
         return BatchedSourceParameters(rates=self.rates[keep], z=self.z[keep])
 
-    def clamp(self, epsilon: float = DEFAULT_EPSILON) -> "BatchedSourceParameters":
-        """Per-lane :meth:`SourceParameters.clamp` (same min/max ops)."""
-        if not 0.0 < epsilon < 0.5:
-            raise ValidationError(f"epsilon must be in (0, 0.5), got {epsilon}")
-        return BatchedSourceParameters(
-            rates=clip_rates(self.rates, epsilon), z=clip_rates(self.z, epsilon)
-        )
-
     def max_difference(self, other: "BatchedSourceParameters") -> np.ndarray:
         """Per-lane convergence deltas, ``(B,)``.
 
         Lane ``b`` equals ``lane(b).max_difference(other.lane(b))``
         bitwise: max is an exact, order-insensitive reduction, so the
-        fused max over the ``(n, 4)`` rate block matches the serial
-        Python ``max`` over four per-rate maxima plus ``|z diff|``.
+        fused max over each lane's ``(4, n)`` rate block matches the
+        serial max over the same block plus ``|z diff|``.
         """
         if self.n_sources:
             delta = np.abs(self.rates - other.rates).max(axis=(1, 2))
@@ -373,56 +347,45 @@ class BatchedDenseBackend:
         Every product is a stacked mat-vec
         ``(1|B, n, m) @ (B, m, 1)`` — NumPy dispatches these to the
         same per-lane GEMV the serial backend uses, so the counts (and
-        hence the ratios) are bitwise lane-for-lane serial.  Unsmoothed,
-        the four ratio updates fuse into one masked divide over the
-        ``(B, n, 4)`` count stacks (elementwise, hence bitwise); the
-        smoothed path keeps four per-rate updates because the pooled
-        reductions must run over contiguous ``(B, n)`` slabs to keep
-        the serial summation order.  No fault is raised here: poisoned
-        lanes surface via
-        :meth:`BatchedSourceParameters.lane_faults` and retire alone
-        instead of aborting the batch.
+        hence the ratios) are bitwise lane-for-lane serial.  They land
+        in C-contiguous ``(B, 4, n)`` count blocks, so one ratio update
+        covers every lane and rate, smoothed or not, in the serial
+        summation order.  No fault is raised here: poisoned lanes
+        surface via :meth:`BatchedSourceParameters.lane_faults` and
+        retire alone instead of aborting the batch.
         """
         z_post = posterior[:, :, None]  # (B, m, 1)
         y_post = 1.0 - z_post
-        numerators = (
-            np.matmul(self.sc_indep, z_post),
-            np.matmul(self.sc_indep, y_post),
-            np.matmul(self.sc_dep, z_post),
-            np.matmul(self.sc_dep, y_post),
-        )
-        denominators = (
-            np.matmul(self.indep, z_post),
-            np.matmul(self.indep, y_post),
-            np.matmul(self.dep, z_post),
-            np.matmul(self.dep, y_post),
-        )
-        if self.smoothing != 0.0:
-            rates = np.stack(
-                [
-                    ratio_update(
-                        numerators[column][:, :, 0],
-                        denominators[column][:, :, 0],
-                        smoothing=self.smoothing,
-                        fallback=previous.rates[:, :, column],
-                    )
-                    for column in range(4)
-                ],
-                axis=2,
+        # Each stacked mat-vec is (B, n, 1); as (B, 1, n) rows they join
+        # into C-contiguous (B, 4, n) numerator and denominator blocks.
+        numerators, denominators = (
+            np.concatenate(
+                (
+                    np.matmul(independent, z_post).transpose(0, 2, 1),
+                    np.matmul(independent, y_post).transpose(0, 2, 1),
+                    np.matmul(dependent, z_post).transpose(0, 2, 1),
+                    np.matmul(dependent, y_post).transpose(0, 2, 1),
+                ),
+                axis=1,
             )
-        else:
-            rates = ratio_update(
-                np.concatenate(numerators, axis=2),
-                np.concatenate(denominators, axis=2),
-                fallback=previous.rates,
+            for independent, dependent in (
+                (self.sc_indep, self.sc_dep),
+                (self.indep, self.dep),
             )
+        )
+        rates = ratio_update(
+            numerators,
+            denominators,
+            smoothing=self.smoothing,
+            fallback=previous.rates,
+        )
         z = (
             posterior.sum(axis=1) / posterior.shape[1]
             if posterior.shape[1]
             else previous.z
         )
         # SourceParameters.clamp over the rate stack (in place: `rates`
-        # is fresh either way).
+        # is fresh).
         return BatchedSourceParameters(
             rates=clip_rates(rates, self.epsilon, out=rates),
             z=clip_rates(z, self.epsilon),
@@ -430,8 +393,7 @@ class BatchedDenseBackend:
 
     def _columns(self, params: BatchedSourceParameters) -> np.ndarray:
         """Per-lane column log-likelihoods, ``(B, m, 2)``."""
-        table = pair_table(params.rates.transpose(0, 2, 1))
-        return pair_column_log_likelihoods(self._lane_codes, table)
+        return pair_column_log_likelihoods(self._lane_codes, pair_table(params.rates))
 
     def posterior(self, params: BatchedSourceParameters) -> np.ndarray:
         """Equation (9) truth posterior, ``(B, m)``."""

@@ -19,7 +19,8 @@ rationale):
 
 Every function is parameterised by a backend from
 :mod:`repro.engine.backends`, so dense, sparse and masked estimators
-share one implementation.
+share one implementation; stage one runs on the dense and CSR
+backends' own independence-model steps.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from typing import Any, Tuple
 
 import numpy as np
 
-from repro.core.likelihood import posterior_and_log_likelihood
-from repro.core.model import SourceParameters, clip_probability
+from repro.core.model import SourceParameters
+from repro.engine.backends import IndependentParameters
 
 
 def support_posterior(backend: Any) -> np.ndarray:
@@ -63,27 +64,18 @@ def staged_stage_one(
 ) -> Tuple[np.ndarray, SourceParameters]:
     """Fit the independence model over unmasked (independent) cells.
 
-    A compact masked EM warm-started from ``posterior``; returns the
-    converged posterior and the two learned rate vectors lifted into a
-    full parameter set (``f = t``, ``g = b``), ready for the stage-two
+    A compact EM of the backend's independence model (one
+    ``independent_m_step`` and one ``independent_e_step`` per
+    iteration), warm-started from ``posterior``; returns the converged
+    posterior and the two learned rate vectors lifted into a full
+    parameter set (``f = t``, ``g = b``), ready for the stage-two
     enrichment M-step.
     """
-    eps = backend.epsilon
     n = backend.n_sources
-    t_rate = np.full(n, 0.55)
-    b_rate = np.full(n, 0.45)
-    z = 0.5
+    theta = IndependentParameters(t=np.full(n, 0.55), b=np.full(n, 0.45), z=0.5)
     for _ in range(stage_iterations):
-        # M-step over independent cells only.
-        t_rate = backend.masked_rate(posterior, t_rate)
-        b_rate = backend.masked_rate(1.0 - posterior, b_rate)
-        if posterior.size:
-            # sum/size is np.mean's own definition, minus dispatch.
-            z = clip_probability(float(posterior.sum()) / posterior.size, eps)
-        # E-step over independent cells only.
-        new_posterior = posterior_and_log_likelihood(
-            backend.masked_log_likelihoods(t_rate, b_rate).T, z
-        )[0]
+        theta = backend.independent_m_step(posterior, theta)
+        new_posterior = backend.independent_e_step(theta)[0]
         if (
             posterior.size
             and float(np.abs(new_posterior - posterior).max()) < tolerance
@@ -91,7 +83,9 @@ def staged_stage_one(
             posterior = new_posterior
             break
         posterior = new_posterior
-    staged = SourceParameters(a=t_rate, b=b_rate, f=t_rate, g=b_rate, z=z)
+    staged = SourceParameters(
+        a=theta.t, b=theta.b, f=theta.t, g=theta.b, z=theta.z
+    )
     return posterior, staged
 
 

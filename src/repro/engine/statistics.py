@@ -1,36 +1,34 @@
 """Sufficient statistics and the single M-step ratio kernel.
 
-Every M-step in the library — dense EM-Ext, sparse EM-Ext, the
-streaming estimator and the masked independence baselines — is a ratio
-of posterior-weighted counts over a cell partition (Equations 10–14).
-:func:`ratio_update` is the one implementation of that ratio, including
-the two engineering layers documented in DESIGN.md §5.5:
+Every M-step in the library — dense, sparse and lane EM-Ext, the
+streaming estimator, the staged initialisation, the EM / EM-Social
+baselines and the pooled ablation — is a ratio of posterior-weighted
+counts over a cell partition (Equations 10–14), and every one of them
+holds its counts in one layout: a ``(…, k, n)`` block with one row per
+rate (``[a, b, f, g]``, or ``[t, b]`` for the independence model),
+sources on the last axis and an optional leading lane axis.
+:func:`ratio_update` is the one implementation of that ratio, applied
+once per M-step to the whole block, including the two engineering
+layers documented in DESIGN.md §5.5:
 
 * hierarchical (empirical-Bayes) smoothing — shrink each source's rate
   toward the pooled population rate by ``s`` pseudo-counts;
 * empty-partition fallback — a source with no cells in a partition
   keeps its previous value for the affected parameter.
 
-:class:`SufficientStatistics` holds the numerator/denominator count
-vectors themselves.  The streaming estimator's decayed statistics are
+:class:`SufficientStatistics` holds a ``(4, n)`` numerator and
+denominator block.  The streaming estimator's decayed statistics are
 exactly this accumulator plus an exponential forgetting factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.model import DEFAULT_EPSILON, SourceParameters
-
-#: The four per-source rates of the dependency-aware model, in the
-#: order the M-step updates them.
-RATE_NAMES: Tuple[str, str, str, str] = ("a", "b", "f", "g")
-
-#: ``(numerator, denominator)`` count vectors per rate name.
-CountMap = Mapping[str, Tuple[np.ndarray, np.ndarray]]
 
 
 def ratio_update(
@@ -96,51 +94,67 @@ def ratio_update(
     return ratio
 
 
+def _parameters(
+    numerators: np.ndarray,
+    denominators: np.ndarray,
+    z_numerator: float,
+    z_denominator: float,
+    fallback: SourceParameters,
+    epsilon: float,
+) -> SourceParameters:
+    """Clamped parameters of ``(4, n)`` counts: one ratio, then the prior."""
+    rates = ratio_update(numerators, denominators, fallback=fallback._rate_block())
+    z = z_numerator / z_denominator if z_denominator > 0 else fallback.z
+    return SourceParameters(
+        a=rates[0], b=rates[1], f=rates[2], g=rates[3], z=float(z)
+    ).clamp(epsilon)
+
+
 @dataclass
 class SufficientStatistics:
     """Posterior-weighted counts behind the M-step ratios.
 
-    One ``(numerator, denominator)`` vector pair per rate in
-    :data:`RATE_NAMES` plus the prior's scalar counters.  Supports
-    exponential decay, which is all the streaming estimator adds on top
-    of the batch M-step.
+    ``numerators`` and ``denominators`` are ``(4, n)`` blocks with rows
+    ``[a, b, f, g]``, the layout of
+    :meth:`~repro.engine.backends.DenseBackend.partition_counts`, plus
+    the prior's scalar counters.  Supports exponential decay, which is
+    all the streaming estimator adds on top of the batch M-step.
     """
 
-    numerators: Dict[str, np.ndarray]
-    denominators: Dict[str, np.ndarray]
+    numerators: np.ndarray
+    denominators: np.ndarray
     z_numerator: float = 0.0
     z_denominator: float = 0.0
 
     @classmethod
     def zeros(cls, n_sources: int) -> "SufficientStatistics":
         """An empty accumulator for ``n_sources`` sources."""
-        return cls(
-            numerators={k: np.zeros(n_sources) for k in RATE_NAMES},
-            denominators={k: np.zeros(n_sources) for k in RATE_NAMES},
-        )
+        return cls(np.zeros((4, n_sources)), np.zeros((4, n_sources)))
 
     def copy(self) -> "SufficientStatistics":
         """Deep copy (fresh count arrays) — used for rollback snapshots."""
         return SufficientStatistics(
-            numerators={k: v.copy() for k, v in self.numerators.items()},
-            denominators={k: v.copy() for k, v in self.denominators.items()},
-            z_numerator=self.z_numerator,
-            z_denominator=self.z_denominator,
+            self.numerators.copy(),
+            self.denominators.copy(),
+            self.z_numerator,
+            self.z_denominator,
         )
 
     def decay(self, factor: float) -> None:
         """Exponentially discount all accumulated counts in place."""
-        for name in self.numerators:
-            self.numerators[name] *= factor
-            self.denominators[name] *= factor
+        self.numerators *= factor
+        self.denominators *= factor
         self.z_numerator *= factor
         self.z_denominator *= factor
 
-    def add(self, counts: CountMap, z_counts: Tuple[float, float]) -> None:
-        """Accumulate one batch's partition counts."""
-        for name, (numerator, denominator) in counts.items():
-            self.numerators[name] += numerator
-            self.denominators[name] += denominator
+    def add(
+        self,
+        counts: Tuple[np.ndarray, np.ndarray],
+        z_counts: Tuple[float, float],
+    ) -> None:
+        """Accumulate one batch's ``(numerators, denominators)`` count blocks."""
+        self.numerators += counts[0]
+        self.denominators += counts[1]
         self.z_numerator += z_counts[0]
         self.z_denominator += z_counts[1]
 
@@ -150,25 +164,18 @@ class SufficientStatistics:
         epsilon: float = DEFAULT_EPSILON,
     ) -> SourceParameters:
         """Parameters from the accumulated counts alone."""
-        rates = {}
-        for name in RATE_NAMES:
-            rates[name] = ratio_update(
-                self.numerators[name],
-                self.denominators[name],
-                fallback=getattr(fallback, name),
-            )
-        z = (
-            self.z_numerator / self.z_denominator
-            if self.z_denominator > 0
-            else fallback.z
+        return _parameters(
+            self.numerators,
+            self.denominators,
+            self.z_numerator,
+            self.z_denominator,
+            fallback,
+            epsilon,
         )
-        return SourceParameters(
-            a=rates["a"], b=rates["b"], f=rates["f"], g=rates["g"], z=float(z)
-        ).clamp(epsilon)
 
     def merged_rates(
         self,
-        counts: CountMap,
+        counts: Tuple[np.ndarray, np.ndarray],
         z_counts: Tuple[float, float],
         decay: float,
         fallback: SourceParameters,
@@ -180,25 +187,17 @@ class SufficientStatistics:
         accumulator — used for the streaming inner loop, which refines
         a batch posterior before committing its counts.
         """
-        rates = {}
-        for name in RATE_NAMES:
-            numerator, denominator = counts[name]
-            rates[name] = ratio_update(
-                self.numerators[name] * decay + numerator,
-                self.denominators[name] * decay + denominator,
-                fallback=getattr(fallback, name),
-            )
-        z_total_num = self.z_numerator * decay + z_counts[0]
-        z_total_den = self.z_denominator * decay + z_counts[1]
-        z = z_total_num / z_total_den if z_total_den > 0 else fallback.z
-        return SourceParameters(
-            a=rates["a"], b=rates["b"], f=rates["f"], g=rates["g"], z=float(z)
-        ).clamp(epsilon)
+        return _parameters(
+            self.numerators * decay + counts[0],
+            self.denominators * decay + counts[1],
+            self.z_numerator * decay + z_counts[0],
+            self.z_denominator * decay + z_counts[1],
+            fallback,
+            epsilon,
+        )
 
 
 __all__ = [
-    "CountMap",
-    "RATE_NAMES",
     "SufficientStatistics",
     "ratio_update",
 ]

@@ -8,10 +8,10 @@ its source parameters incrementally instead of refitting from scratch.
 
 Mechanism: the dependency-aware M-step is a ratio of posterior-weighted
 counts, so the model state is exactly the engine's
-:class:`~repro.engine.statistics.SufficientStatistics` — eight count
-vectors (numerator/denominator for each of ``a, b, f, g``) plus the
-prior's counters.  Each batch contributes the counts produced by the
-shared :class:`~repro.engine.backends.DenseBackend`; a forgetting
+:class:`~repro.engine.statistics.SufficientStatistics` — a ``(4, n)``
+numerator and denominator block with rows ``a, b, f, g`` plus the
+prior's counters.  Each batch contributes the count blocks the shared
+:class:`~repro.engine.backends.DenseBackend`'s M-step divides; a forgetting
 factor ``decay`` exponentially discounts history so the estimator
 tracks sources whose behaviour drifts.  The streaming estimator is
 therefore a thin decayed wrapper over the same accumulator the batch
@@ -20,7 +20,7 @@ estimators use.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,11 @@ INNER_TOLERANCE = 1e-8
 
 #: Amplitude of the seeded cold-start jitter (see ``StreamingEMExt``).
 _COLD_START_JITTER = 0.05
+
+
+def _prior_counts(posterior: np.ndarray) -> Tuple[float, float]:
+    """Equation 14's counts: the posterior mass and the number of assertions."""
+    return float(posterior.sum()), float(posterior.size)
 
 
 class StreamingEMExt:
@@ -164,9 +169,12 @@ class StreamingEMExt:
             n_iterations = 0
             converged = False
             for _ in range(self.inner_iterations):
-                counts, z_counts = backend.partition_counts(posterior)
                 snapshot = self._stats.merged_rates(
-                    counts, z_counts, self.decay, self.parameters, self.epsilon
+                    backend.partition_counts(posterior),
+                    _prior_counts(posterior),
+                    self.decay,
+                    self.parameters,
+                    self.epsilon,
                 )
                 new_posterior = backend.posterior(snapshot)
                 delta = (
@@ -183,8 +191,9 @@ class StreamingEMExt:
                 raise DataError("batch update produced a non-finite posterior")
             # Commit: decay history, add this batch's counts, refresh params.
             self._stats.decay(self.decay)
-            counts, z_counts = backend.partition_counts(posterior)
-            self._stats.add(counts, z_counts)
+            self._stats.add(
+                backend.partition_counts(posterior), _prior_counts(posterior)
+            )
             parameters = self._stats.rates(self.parameters, self.epsilon)
             if not parameters.is_finite():
                 raise DataError("batch update produced non-finite parameters")

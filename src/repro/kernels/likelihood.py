@@ -78,7 +78,7 @@ def lane_offset_codes(
     across lanes (``(n, m)`` or ``(1, n, m)``) or per lane
     (``(B, n, m)``); adding lane ``b`` the offset ``b·4n`` makes them
     index lane ``b``'s rows of a :func:`~repro.kernels.tables.pair_table`
-    built from ``(B, n, 4)`` rates.  Returns a ``(B, n, m)`` ``intp``
+    built from ``(B, 4, n)`` rates.  Returns a ``(B, n, m)`` ``intp``
     array.
     """
     offsets = np.arange(n_lanes, dtype=np.intp) * (4 * n_sources)

@@ -19,8 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bounds.exact import BoundResult, _emission_rates
-from repro.core.model import SourceParameters
-from repro.engine.backends import DenseBackend
+from repro.core.likelihood import posterior_and_log_likelihood
+from repro.core.model import SourceParameters, clip_probability
+from repro.engine.backends import DenseBackend, IndependentParameters
 from repro.engine.statistics import ratio_update
 from repro.kernels.dedup import group_columns
 from repro.utils.rng import RandomState, SeedLike
@@ -137,16 +138,27 @@ class ReferenceDenseBackend(DenseBackend):
         log_likelihood = reference_log_likelihood(log_true2, log_false2, params.z)
         return posterior, log_likelihood
 
-    def masked_rate(self, weight, previous):
-        ratio = ratio_update(
-            (self.sc * self.indep) @ weight,
-            self.indep @ weight,
-            smoothing=self.smoothing,
-            fallback=previous,
-        )
-        return np.clip(ratio, self.epsilon, 1.0 - self.epsilon)
+    def independent_m_step(self, posterior, previous):
+        def _rate(weight, fallback):
+            ratio = ratio_update(
+                (self.sc * self.indep) @ weight,
+                self.indep @ weight,
+                smoothing=self.smoothing,
+                fallback=fallback,
+            )
+            return np.clip(ratio, self.epsilon, 1.0 - self.epsilon)
 
-    def masked_log_likelihoods(self, t_rate, b_rate):
+        t_rate = _rate(posterior, previous.t)
+        b_rate = _rate(1.0 - posterior, previous.b)
+        z = (
+            clip_probability(float(posterior.sum()) / posterior.size, self.epsilon)
+            if posterior.size
+            else previous.z
+        )
+        return IndependentParameters(t=t_rate, b=b_rate, z=z)
+
+    def independent_e_step(self, params):
+        t_rate, b_rate = params.t, params.b
         log_true = (
             self.indep
             * (
@@ -161,7 +173,9 @@ class ReferenceDenseBackend(DenseBackend):
                 + (1 - self.sc) * np.log1p(-b_rate)[:, None]
             )
         ).sum(axis=0)
-        return np.array((log_true, log_false))
+        return posterior_and_log_likelihood(
+            np.array((log_true, log_false)).T, params.z
+        )
 
 
 # -- historical chunked exact enumeration ----------------------------------------

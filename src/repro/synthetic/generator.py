@@ -41,7 +41,7 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.matrix import SensingProblem
+from repro.data.dense import SensingProblem
 from repro.network.dependency import extract_dependency
 from repro.network.events import EventLog, Post
 from repro.network.generators import LevelTwoForest, level_two_forest

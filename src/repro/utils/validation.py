@@ -9,7 +9,7 @@ estimates.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,18 +42,26 @@ def check_probability_array(values: np.ndarray, name: str) -> np.ndarray:
     return array
 
 
-def check_binary_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Validate a 2-D 0/1 matrix; returns an int8 copy.
+def check_binary(values: Any, name: str, *, what: str = "entries") -> np.ndarray:
+    """Validate that every entry of an array of any shape is 0 or 1.
 
     Any dtype whose entries equal 0 or 1 passes (integers, bools,
     floats including ``-0.0``, objects); 2, 0.5, NaN and strings do not.
+    Returns ``values`` as an array (not a copy); the refusal reads
+    "``name`` must contain only 0/1 ``what``".
     """
+    array = np.asarray(values)
+    if array.size and not ((array == 0) | (array == 1)).all():
+        raise ValidationError(f"{name} must contain only 0/1 {what}")
+    return array
+
+
+def check_binary_matrix(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Validate a 2-D 0/1 matrix (see :func:`check_binary`); returns an int8 copy."""
     array = np.asarray(matrix)
     if array.ndim != 2:
         raise ValidationError(f"{name} must be 2-D, got shape {array.shape}")
-    if array.size and not ((array == 0) | (array == 1)).all():
-        raise ValidationError(f"{name} must contain only 0/1 entries")
-    return array.astype(np.int8)
+    return check_binary(array, name).astype(np.int8)
 
 
 def check_same_shape(a: np.ndarray, b: np.ndarray, names: Tuple[str, str]) -> None:
@@ -127,6 +135,7 @@ def check_in_choices(value: str, name: str, choices: Iterable[str]) -> str:
 
 
 __all__ = [
+    "check_binary",
     "check_binary_matrix",
     "check_id_list",
     "check_in_choices",

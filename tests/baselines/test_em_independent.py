@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import EMIndependent, EMSocial, IndependentParameters
 from repro.core import SensingProblem
+from repro.engine.backends import MaskedDenseBackend
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ValidationError
 
@@ -71,6 +72,20 @@ class TestEMIndependent:
         with_dep = EMIndependent(seed=0).fit(problem.without_truth())
         without_dep = EMIndependent(seed=0).fit(stripped)
         np.testing.assert_allclose(with_dep.scores, without_dep.scores)
+
+
+class TestMaskedDenseBackend:
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_mask_must_be_zero_one(self, value):
+        """A fractional mask has no cell model: the steps would disagree on it."""
+        mask = np.ones((3, 4))
+        mask[1, 2] = value
+        with pytest.raises(ValidationError, match="mask"):
+            MaskedDenseBackend(np.zeros((3, 4)), mask)
+
+    def test_mask_shape_must_match_claims(self):
+        with pytest.raises(ValidationError, match="mask shape"):
+            MaskedDenseBackend(np.zeros((3, 4)), np.ones((4, 3)))
 
 
 class TestEMSocial:

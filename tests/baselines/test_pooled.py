@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.baselines import PooledEMExt, make_fact_finder
-from repro.core import EMExtEstimator
+from repro.baselines.pooled import _PooledDenseBackend
+from repro.core import EMExtEstimator, SensingProblem
+from repro.engine.backends import DenseBackend
 from repro.synthetic import GeneratorConfig, generate_dataset
 from repro.utils.errors import ValidationError
 
@@ -21,6 +23,30 @@ class TestConstruction:
     def test_invalid(self, kwargs):
         with pytest.raises(ValidationError):
             PooledEMExt(**kwargs)
+
+
+class TestPooledMStep:
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_m_step_is_the_population_ratio_of_the_dense_count_block(
+        self, synthetic_dataset, independent
+    ):
+        """Each pooled rate is one row of the dense block: Σ numerators / Σ denominators."""
+        problem = synthetic_dataset.problem.without_truth()
+        if independent:  # the dependent rows have no mass: they fall back to 0.5
+            problem = SensingProblem.independent(problem.claims.values)
+        epsilon = 1e-3
+        backend = _PooledDenseBackend(problem, epsilon=epsilon)
+        posterior = np.random.default_rng(5).random(problem.n_assertions)
+        got = backend.m_step(posterior, backend.neutral())
+        numerators, denominators = DenseBackend(problem).partition_counts(posterior)
+        for row, name in enumerate(("a", "b", "f", "g")):
+            total = denominators[row].sum()
+            rate = numerators[row].sum() / total if total > 0 else 0.5
+            rate = min(max(rate, epsilon), 1.0 - epsilon)
+            assert np.array_equal(
+                getattr(got, name), np.full(problem.n_sources, rate)
+            ), name
+        assert got.z == min(max(float(posterior.mean()), epsilon), 1.0 - epsilon)
 
 
 class TestFit:

@@ -6,8 +6,8 @@ Two reductions, each pinned bit for bit on random problems:
   what the staged initialisation's stage one fits on a
   :class:`~repro.engine.backends.DenseBackend`:
   ``MaskedDenseBackend(SC, 1 − D)``'s E-step and M-step equal the dense
-  backend's ``masked_log_likelihoods`` / ``masked_rate`` with the shared
-  log-sum-exp, and one stage-one iteration.
+  backend's independence-model columns and ``independent_m_step`` with
+  the shared log-sum-exp, and one stage-one iteration.
 * EM is the dependency-aware model on ``D = 0`` from the support start:
   the dependent partition is empty, so ``f`` and ``g`` never move and
   never enter a likelihood.
@@ -50,17 +50,17 @@ def test_em_social_steps_are_the_dense_backends_independent_cell_model(
     theta = IndependentParameters(t=t, b=b, z=z)
 
     # E-step: per-column log likelihoods, posterior, Eq. 7 total.
-    columns = dense.masked_log_likelihoods(t, b).T
-    assert np.array_equal(masked._columns(theta), columns)
+    columns = dense._independent_columns(theta)
+    assert np.array_equal(masked._cells._independent_columns(theta), columns)
     posterior, log_likelihood = masked.e_step(theta)
     expected_posterior, expected_ll = posterior_and_log_likelihood(columns, z)
     assert np.array_equal(posterior, expected_posterior)
     assert log_likelihood == expected_ll
 
-    # M-step: the two rates are the dense backend's masked rates.
+    # M-step: the two rates are the dense backend's independent-cell rates.
     updated = masked.m_step(posterior, theta)
-    assert np.array_equal(updated.t, dense.masked_rate(posterior, t))
-    assert np.array_equal(updated.b, dense.masked_rate(1.0 - posterior, b))
+    assert np.array_equal(updated.t, dense.independent_m_step(posterior, theta).t)
+    assert np.array_equal(updated.b, dense.independent_m_step(posterior, theta).b)
 
     # One stage-one iteration from the neutral start is one EM-Social step.
     staged_posterior, staged = staged_stage_one(

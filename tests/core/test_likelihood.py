@@ -69,6 +69,17 @@ class TestColumnLogLikelihoods:
         with pytest.raises(ValidationError):
             column_log_likelihoods(np.zeros((4, 2)), np.zeros((4, 2)), small_params)
 
+    @pytest.mark.parametrize("fractional", ["sc", "d"])
+    def test_fractional_entries_refused(self, small_params, fractional):
+        """There is one Eq. 4/5 path: 0/1 selection; 0.5 is not a cell value."""
+        cells = {"sc": np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                 "d": np.zeros((3, 2))}
+        cells[fractional][1, 0] = 0.5
+        with pytest.raises(ValidationError, match="0/1"):
+            column_log_likelihoods(cells["sc"], cells["d"], small_params)
+        with pytest.raises(ValidationError, match="0/1"):
+            pattern_log_joint(cells["sc"][:, 0], cells["d"][:, 0], small_params)
+
     def test_normalisation_over_patterns(self, small_params):
         """Σ over all claim patterns of P(pattern | C) equals 1."""
         d_column = np.array([0, 1, 0])

@@ -1,4 +1,4 @@
-"""Tests for repro.core.matrix."""
+"""Tests for the dense problem containers (`repro.data.dense`), imported from `repro.core`."""
 
 import numpy as np
 import pytest

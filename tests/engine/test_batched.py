@@ -107,15 +107,6 @@ class TestBatchedSourceParameters:
         for index in range(3):
             assert deltas[index] == left[index].max_difference(right[index])
 
-    def test_clamp_matches_scalar_clamp(self):
-        params = _random_params(5, SEED, 3)
-        clamped = BatchedSourceParameters.stack(params).clamp(0.05)
-        for index, original in enumerate(params):
-            lane = clamped.lane(index)
-            scalar = original.clamp(0.05)
-            for name in ("a", "b", "f", "g"):
-                assert np.array_equal(getattr(lane, name), getattr(scalar, name))
-
     def test_stack_validations(self):
         with pytest.raises(ValidationError):
             BatchedSourceParameters.stack([])
@@ -125,8 +116,6 @@ class TestBatchedSourceParameters:
         ]
         with pytest.raises(ValidationError):
             BatchedSourceParameters.stack(mixed)
-        with pytest.raises(ValidationError):
-            BatchedSourceParameters.stack(_random_params(4, SEED, 2)).clamp(0.7)
 
     def test_lane_faults_messages_and_precedence(self):
         stacked = BatchedSourceParameters.stack(_random_params(4, SEED, 3))

@@ -96,8 +96,9 @@ def _assert_masked_paths_match_the_equations(problem, t, b):
 
     dense = DenseBackend(problem)
     masked = MaskedDenseBackend(dense.sc, dense.indep)
-    got = dense.masked_log_likelihoods(t, b)
-    twin = masked._columns(IndependentParameters(t=t, b=b, z=0.5)).T
+    theta = IndependentParameters(t=t, b=b, z=0.5)
+    got = dense._independent_columns(theta).T
+    twin = masked._cells._independent_columns(theta).T
     with np.errstate(divide="ignore"):
         expected = [
             np.where(

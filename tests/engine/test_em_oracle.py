@@ -250,11 +250,12 @@ def test_independence_model_matches_the_oracle(problem, smoothing):
                 ),
             ):
                 label = type(stage_one).__name__
-                got_true, got_false = stage_one.masked_log_likelihoods(t, b)
+                got_true, got_false = stage_one._independent_columns(previous).T
                 _close(got_true, log_true, label)
                 _close(got_false, log_false, label)
-                _close(stage_one.masked_rate(np.array(posterior), t), expected_t, label)
-                _close(stage_one.masked_rate(np.array(y), b), expected_b, label)
+                updated = stage_one.independent_m_step(np.array(posterior), previous)
+                _close(updated.t, expected_t, label)
+                _close(updated.b, expected_b, label)
 
 
 # -- a metamorphic check: repeated columns ------------------------------------------
@@ -270,9 +271,9 @@ def _posteriors(sc, dep, theta):
     for name, mask in (("em", np.ones_like(dep)), ("em-social", 1 - dep)):
         backend = MaskedDenseBackend(sc.astype(np.float64), mask.astype(np.float64))
         results[name] = backend.e_step(independent)[0]
-    stage_one = DenseBackend(SensingProblem(sc, dep)).masked_log_likelihoods(
-        theta.a, theta.b
-    )
+    stage_one = DenseBackend(SensingProblem(sc, dep))._independent_columns(
+        independent
+    ).T
     results["stage-one log true"], results["stage-one log false"] = stage_one
     return results
 

@@ -8,6 +8,8 @@ every backend and both bound estimators must satisfy on *any* input:
 * sufficient statistics are non-negative and conserve posterior mass
   across the four cell partitions;
 * every M-step output is a probability;
+* relabelling true ↔ false maps every posterior ``p`` to ``1 − p``,
+  keeps the log likelihood and swaps the M-step's rates;
 * the Bayes-risk bound is a pair of non-negative error masses whose sum
   never exceeds the trivial ``min(z, 1-z) <= 0.5`` risk.
 """
@@ -21,17 +23,28 @@ from repro.bounds import GibbsConfig, exact_bound, gibbs_bound
 from repro.core import SensingProblem, SourceParameters
 from repro.core.likelihood import posterior_and_log_likelihood
 from repro.engine import (
-    RATE_NAMES,
+    BatchedDenseBackend,
+    BatchedSourceParameters,
     DenseBackend,
+    MaskedDenseBackend,
     SufficientStatistics,
     ratio_update,
 )
+from repro.engine.backends import IndependentParameters
 from repro.kernels.tables import pair_table
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
+#: The dependency model's rates, in the rows of its ``(4, n)`` block.
+RATE_NAMES = ("a", "b", "f", "g")
+
 dims = st.tuples(st.integers(2, 6), st.integers(2, 8))
 seeds = st.integers(0, 2**32 - 1)
+
+
+def _prior_counts(posterior: np.ndarray) -> tuple:
+    """Equation 14's counts: posterior mass and assertion count."""
+    return float(posterior.sum()), float(posterior.size)
 
 
 def _problem(n_sources: int, n_assertions: int, seed: int) -> SensingProblem:
@@ -72,27 +85,27 @@ class TestSufficientStatistics:
         problem = _problem(n_sources, n_assertions, seed)
         backend = DenseBackend(problem)
         posterior = np.random.default_rng(seed + 1).random(n_assertions)
-        counts, z_counts = backend.partition_counts(posterior)
+        counts = backend.partition_counts(posterior)
+        assert counts[0].shape == counts[1].shape == (4, n_sources)
         stats = SufficientStatistics.zeros(n_sources)
-        stats.add(counts, z_counts)
-        for name in RATE_NAMES:
-            assert (stats.numerators[name] >= 0).all()
-            assert (stats.denominators[name] >= 0).all()
-            assert (
-                stats.numerators[name] <= stats.denominators[name] + 1e-12
-            ).all()
+        stats.add(counts, _prior_counts(posterior))
+        assert (stats.numerators >= 0).all()
+        assert (stats.denominators >= 0).all()
+        assert (stats.numerators <= stats.denominators + 1e-12).all()
         # Independent and dependent cells partition each source's row,
-        # so the denominators conserve the posterior mass exactly.
+        # so the denominators (rows a, b, f, g) conserve the posterior
+        # mass exactly.
         true_mass = float(posterior.sum())
         np.testing.assert_allclose(
-            stats.denominators["a"] + stats.denominators["f"],
+            stats.denominators[0] + stats.denominators[2],
             np.full(n_sources, true_mass),
         )
         np.testing.assert_allclose(
-            stats.denominators["b"] + stats.denominators["g"],
+            stats.denominators[1] + stats.denominators[3],
             np.full(n_sources, n_assertions - true_mass),
         )
-        assert z_counts == (pytest.approx(true_mass), float(n_assertions))
+        assert stats.z_numerator == pytest.approx(true_mass)
+        assert stats.z_denominator == float(n_assertions)
 
     @SETTINGS
     @given(shape=dims, seed=seeds)
@@ -101,9 +114,8 @@ class TestSufficientStatistics:
         problem = _problem(n_sources, n_assertions, seed)
         backend = DenseBackend(problem)
         posterior = np.random.default_rng(seed + 1).random(n_assertions)
-        counts, z_counts = backend.partition_counts(posterior)
         stats = SufficientStatistics.zeros(n_sources)
-        stats.add(counts, z_counts)
+        stats.add(backend.partition_counts(posterior), _prior_counts(posterior))
         params = stats.rates(backend.neutral())
         for name in RATE_NAMES:
             rate = getattr(params, name)
@@ -116,23 +128,18 @@ class TestSufficientStatistics:
         n_sources, n_assertions = shape
         backend = DenseBackend(_problem(n_sources, n_assertions, seed))
         posterior = np.random.default_rng(seed + 1).random(n_assertions)
-        counts, z_counts = backend.partition_counts(posterior)
         stats = SufficientStatistics.zeros(n_sources)
-        stats.add(counts, z_counts)
-        before = {name: stats.denominators[name].copy() for name in RATE_NAMES}
+        stats.add(backend.partition_counts(posterior), _prior_counts(posterior))
+        before = stats.denominators.copy()
         snapshot = stats.copy()
         stats.decay(factor)
-        for name in RATE_NAMES:
-            np.testing.assert_allclose(
-                stats.numerators[name], snapshot.numerators[name] * factor
-            )
-            np.testing.assert_allclose(
-                stats.denominators[name], snapshot.denominators[name] * factor
-            )
+        np.testing.assert_allclose(stats.numerators, snapshot.numerators * factor)
+        np.testing.assert_allclose(
+            stats.denominators, snapshot.denominators * factor
+        )
         assert stats.z_numerator == pytest.approx(snapshot.z_numerator * factor)
         # The snapshot must be untouched by the in-place decay.
-        for name in RATE_NAMES:
-            np.testing.assert_array_equal(snapshot.denominators[name], before[name])
+        np.testing.assert_array_equal(snapshot.denominators, before)
 
 
 class TestBackendAgreement:
@@ -159,6 +166,114 @@ class TestBackendAgreement:
         csr_post, csr_ll = csr.e_step(csr_params)
         np.testing.assert_allclose(dense_post, csr_post, atol=1e-10)
         assert dense_ll == pytest.approx(csr_ll, abs=1e-8)
+
+
+def _swap(params: SourceParameters) -> SourceParameters:
+    """Relabel true ↔ false in the dependency model: a↔b, f↔g, z↔1−z."""
+    return SourceParameters(
+        a=params.b, b=params.a, f=params.g, g=params.f, z=1.0 - params.z
+    )
+
+
+def _swap_independent(params: IndependentParameters) -> IndependentParameters:
+    """Relabel true ↔ false in the independence model: t↔b, z↔1−z."""
+    return IndependentParameters(t=params.b, b=params.t, z=1.0 - params.z)
+
+
+class TestLabelSwapSymmetry:
+    """Relabelling true ↔ false is a symmetry of both models (Eqs. 7, 9–14).
+
+    Under the swap every E-step posterior ``p`` becomes ``1 − p`` and the
+    Equation 7 log likelihood stays put; the M-step run from ``1 − p``
+    returns the swapped rates.  Only rounding separates the two sides.
+    """
+
+    TOLERANCE = 1e-12
+
+    def _check(self, e_step, m_step, theta, swap, names):
+        swapped = swap(theta)
+        posterior, log_likelihood = e_step(theta)
+        swapped_posterior, swapped_ll = e_step(swapped)
+        np.testing.assert_allclose(
+            swapped_posterior, 1.0 - posterior, rtol=0, atol=self.TOLERANCE
+        )
+        assert swapped_ll == pytest.approx(
+            log_likelihood, rel=self.TOLERANCE, abs=self.TOLERANCE
+        )
+        expected = swap(m_step(posterior, theta))
+        updated = m_step(1.0 - posterior, swapped)
+        for name in names:
+            np.testing.assert_allclose(
+                getattr(updated, name),
+                getattr(expected, name),
+                rtol=0,
+                atol=self.TOLERANCE,
+            )
+        assert updated.z == pytest.approx(expected.z, rel=0, abs=self.TOLERANCE)
+
+    @SETTINGS
+    @given(shape=dims, seed=seeds, smoothing=st.sampled_from((0.0, 0.5)))
+    def test_dense_and_csr_backends(self, shape, seed, smoothing):
+        pytest.importorskip("scipy")
+        from repro.data import SparseSensingProblem
+        from repro.engine import CSRBackend
+
+        problem = _problem(*shape, seed)
+        theta = SourceParameters.random(shape[0], seed, informative=False)
+        for backend in (
+            DenseBackend(problem, smoothing=smoothing),
+            CSRBackend(SparseSensingProblem.from_dense(problem), smoothing=smoothing),
+        ):
+            self._check(backend.e_step, backend.m_step, theta, _swap, RATE_NAMES)
+
+    @SETTINGS
+    @given(shape=dims, seed=seeds, smoothing=st.sampled_from((0.0, 0.5)))
+    def test_masked_backend(self, shape, seed, smoothing):
+        problem = _problem(*shape, seed)
+        sc = problem.claims.values.astype(np.float64)
+        rng = np.random.default_rng(seed)
+        theta = IndependentParameters(
+            t=rng.random(shape[0]), b=rng.random(shape[0]), z=float(rng.random())
+        )
+        for mask in (np.ones_like(sc), 1.0 - problem.dependency.values):
+            backend = MaskedDenseBackend(sc, mask, smoothing=smoothing)
+            self._check(
+                backend.e_step, backend.m_step, theta, _swap_independent, ("t", "b")
+            )
+
+    @SETTINGS
+    @given(shape=dims, seed=seeds, smoothing=st.sampled_from((0.0, 0.5)))
+    def test_batched_pack(self, shape, seed, smoothing):
+        """A pack of three distinct problems, checked lane by lane."""
+        lanes = BatchedDenseBackend.from_backends(
+            [
+                DenseBackend(_problem(*shape, seed + lane), smoothing=smoothing)
+                for lane in range(3)
+            ]
+        )
+        thetas = [
+            SourceParameters.random(shape[0], (seed, lane), informative=False)
+            for lane in range(3)
+        ]
+        stacked = BatchedSourceParameters.stack(thetas)
+        swapped = BatchedSourceParameters.stack([_swap(t) for t in thetas])
+        posterior, log_likelihoods = lanes.e_step(stacked)
+        swapped_posterior, swapped_lls = lanes.e_step(swapped)
+        np.testing.assert_allclose(
+            swapped_posterior, 1.0 - posterior, rtol=0, atol=self.TOLERANCE
+        )
+        np.testing.assert_allclose(
+            swapped_lls, log_likelihoods, rtol=self.TOLERANCE, atol=self.TOLERANCE
+        )
+        updated = lanes.m_step(1.0 - posterior, swapped)
+        expected = lanes.m_step(posterior, stacked)
+        for lane in range(3):
+            got, want = updated.lane(lane), _swap(expected.lane(lane))
+            for name in RATE_NAMES:
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(want, name), rtol=0, atol=self.TOLERANCE
+                )
+            assert got.z == pytest.approx(want.z, rel=0, abs=self.TOLERANCE)
 
 
 class TestStablePosterior:

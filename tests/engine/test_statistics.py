@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SourceParameters
-from repro.engine import RATE_NAMES, SufficientStatistics, ratio_update
+from repro.engine import SufficientStatistics, ratio_update
 
 
 class TestRatioUpdate:
@@ -57,16 +57,13 @@ class TestRatioUpdate:
 
 class TestSufficientStatistics:
     def _counts(self, n, value):
-        return {
-            name: (np.full(n, value), np.full(n, 2.0 * value))
-            for name in RATE_NAMES
-        }
+        """``(4, n)`` numerator and denominator blocks, rows ``[a, b, f, g]``."""
+        return np.full((4, n), value), np.full((4, n), 2.0 * value)
 
     def test_zeros_shape(self):
         stats = SufficientStatistics.zeros(4)
-        for name in RATE_NAMES:
-            assert stats.numerators[name].shape == (4,)
-            assert stats.denominators[name].shape == (4,)
+        assert stats.numerators.shape == (4, 4)
+        assert stats.denominators.shape == (4, 4)
         assert stats.z_denominator == 0.0
 
     def test_add_then_rates(self):
@@ -81,19 +78,19 @@ class TestSufficientStatistics:
         stats = SufficientStatistics.zeros(2)
         stats.add(self._counts(2, 4.0), (4.0, 8.0))
         stats.decay(0.5)
-        np.testing.assert_allclose(stats.numerators["a"], 2.0)
-        np.testing.assert_allclose(stats.denominators["f"], 4.0)
+        np.testing.assert_allclose(stats.numerators[0], 2.0)
+        np.testing.assert_allclose(stats.denominators[2], 4.0)
         assert stats.z_numerator == pytest.approx(2.0)
 
     def test_merged_rates_does_not_mutate(self):
         stats = SufficientStatistics.zeros(2)
         stats.add(self._counts(2, 4.0), (4.0, 8.0))
-        before = stats.numerators["a"].copy()
+        before = stats.numerators.copy()
         fallback = SourceParameters.from_scalars(2, a=0.5, b=0.5, f=0.5, g=0.5, z=0.5)
         merged = stats.merged_rates(
             self._counts(2, 1.0), (1.0, 2.0), 0.5, fallback, 1e-6
         )
-        np.testing.assert_array_equal(stats.numerators["a"], before)
+        np.testing.assert_array_equal(stats.numerators, before)
         # (4·0.5 + 1) / (8·0.5 + 2) = 0.5
         np.testing.assert_allclose(merged.a, 0.5)
 

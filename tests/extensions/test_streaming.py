@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import SourceParameters
+from repro.engine.backends import DenseBackend
 from repro.extensions import StreamingEMExt
 from repro.synthetic import GeneratorConfig, SyntheticGenerator, generate_dataset
 from repro.utils.errors import DataError, ValidationError
@@ -94,6 +95,24 @@ class TestPartialFit:
         np.testing.assert_array_equal(
             a.partial_fit(blind).scores, b.partial_fit(blind).scores
         )
+
+
+class TestNoDecay:
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_first_batch_is_one_dense_m_step(self, batch_stream, seed):
+        """decay = 1: the committed θ is the dense M-step of the batch posterior."""
+        batch = batch_stream[0].problem.without_truth()
+        stream = StreamingEMExt(n_sources=batch.n_sources, decay=1.0, seed=seed)
+        previous = stream.parameters
+        result = stream.partial_fit(batch)
+        expected = DenseBackend(batch, epsilon=stream.epsilon).m_step(
+            result.scores, previous
+        )
+        for name in ("a", "b", "f", "g"):
+            assert np.array_equal(
+                getattr(stream.parameters, name), getattr(expected, name)
+            ), name
+        assert stream.parameters.z == expected.z
 
 
 class TestSeed:

@@ -21,8 +21,8 @@ def _batch(seed):
 def _state(stream):
     """Deep snapshot of everything partial_fit may mutate."""
     return (
-        {k: v.copy() for k, v in stream._stats.numerators.items()},
-        {k: v.copy() for k, v in stream._stats.denominators.items()},
+        stream._stats.numerators.copy(),
+        stream._stats.denominators.copy(),
         stream._stats.z_numerator,
         stream._stats.z_denominator,
         stream.parameters,
@@ -32,10 +32,8 @@ def _state(stream):
 
 def _assert_state_equal(state, stream):
     numerators, denominators, z_num, z_den, parameters, n_batches = state
-    for key, value in numerators.items():
-        np.testing.assert_array_equal(stream._stats.numerators[key], value)
-    for key, value in denominators.items():
-        np.testing.assert_array_equal(stream._stats.denominators[key], value)
+    np.testing.assert_array_equal(stream._stats.numerators, numerators)
+    np.testing.assert_array_equal(stream._stats.denominators, denominators)
     assert stream._stats.z_numerator == z_num
     assert stream._stats.z_denominator == z_den
     assert stream.n_batches == n_batches

@@ -5,6 +5,7 @@ import pytest
 
 from repro.utils.errors import ValidationError
 from repro.utils.validation import (
+    check_binary,
     check_binary_matrix,
     check_in_choices,
     check_nonnegative_int,
@@ -102,6 +103,58 @@ class TestCheckBinaryMatrix:
     def test_wrong_ndim(self):
         with pytest.raises(ValidationError):
             check_binary_matrix(np.array([0, 1]), "m")
+
+
+class TestCheckBinary:
+    """The one 0/1 test behind every validation site, on 1-D input.
+
+    Its verdicts are the matrix cases' above and ``np.isin(x, (0, 1))``'s,
+    the test the 1-D sites used before.
+    """
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 1], dtype=np.int8),
+            np.array([1, 0], dtype=np.uint8),
+            np.array([0, 1], dtype=np.int64),
+            np.array([True, False]),
+            np.array([0, 1], dtype=object),
+            np.array([True, 0], dtype=object),
+            np.array([0.0, 1.0]),
+            np.array([-0.0, 1.0]),
+            np.array([0.0, 1.0], dtype=np.float32),
+            np.array([], dtype=np.float64),
+        ],
+        ids=["int8", "uint8", "int64", "bool", "object", "object-bool", "float",
+             "negative-zero", "float32", "empty"],
+    )
+    def test_zero_one_accepted_in_any_dtype(self, values):
+        assert check_binary(values, "v") is values
+        assert np.isin(values, (0, 1)).all()
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 2]),
+            np.array([-1, 0]),
+            np.array([0.5, 1.0]),
+            np.array([np.nan, 1.0]),
+            np.array([np.inf, 0.0]),
+            np.array(["0", "1"]),
+            np.array(["0", 1], dtype=object),
+        ],
+        ids=["two", "minus-one", "half", "nan", "inf", "strings", "object-string"],
+    )
+    def test_other_values_refused(self, values):
+        with pytest.raises(ValidationError, match="v must contain only 0/1 entries"):
+            check_binary(values, "v")
+        assert not np.isin(values, (0, 1)).all()
+
+    def test_any_shape_and_the_refusal_names_what(self):
+        assert check_binary(np.ones((2, 1, 3)), "v").shape == (2, 1, 3)
+        with pytest.raises(ValidationError, match="truth must contain only 0/1 labels"):
+            check_binary(np.array([[0], [3]]), "truth", what="labels")
 
 
 class TestShapesAndInts:
