@@ -167,12 +167,13 @@ class _PartitionBackend:
     A subclass supplies ``_counts`` (the ``(k, n)`` count blocks of the
     first ``k`` rates of ``[a, b, f, g]``), ``_columns`` and
     ``_independent_columns`` (``(m, 2)`` column log likelihoods of the
-    two models), ``dep`` and the smoothing and epsilon settings.
+    two models), ``sc_indep`` (the independent claims, of the problem's
+    shape) and the smoothing and epsilon settings.
     """
 
     smoothing: float
     epsilon: float
-    dep: Any
+    sc_indep: Any
     #: Clip each dependency-model ratio into ``[0, 1]`` before the clamp.
     _clip_ratio = False
 
@@ -187,11 +188,11 @@ class _PartitionBackend:
 
     @property
     def n_sources(self) -> int:
-        return int(self.dep.shape[0])
+        return int(self.sc_indep.shape[0])
 
     @property
     def n_assertions(self) -> int:
-        return int(self.dep.shape[1])
+        return int(self.sc_indep.shape[1])
 
     # -- parameter construction --------------------------------------------------
 
@@ -285,34 +286,40 @@ class DenseBackend(_PartitionBackend):
         epsilon: float = DEFAULT_EPSILON,
     ) -> None:
         self.problem: Optional["DenseProblem"] = problem
-        self._set_cells(
-            problem.claims.values, problem.dependency.values, smoothing, epsilon
-        )
+        dep = np.asarray(problem.dependency.values, dtype=np.float64)
+        self._set_cells(problem.claims.values, 1.0 - dep, smoothing, epsilon)
+        # The dependent partition, which only the dependency model reads.
+        self.dep = dep
+        self.sc_dep = self.sc * dep
 
     @classmethod
-    def _of_cells(
-        cls, sc: np.ndarray, dep: np.ndarray, *, smoothing: float, epsilon: float
+    def _independent_model(
+        cls, sc: np.ndarray, kept: np.ndarray, *, smoothing: float, epsilon: float
     ) -> "DenseBackend":
-        """A backend over 0/1 ``(SC, D)`` arrays, with no problem container."""
+        """The independence model alone, over the cells a 0/1 ``kept`` mask marks.
+
+        A backend with no problem container and no dependent partition:
+        only the independence model's steps and :meth:`support_counts`
+        run on it.
+        """
         backend = cls.__new__(cls)
         backend.problem = None
-        backend._set_cells(sc, dep, smoothing, epsilon)
+        backend._set_cells(sc, np.array(kept, dtype=np.float64), smoothing, epsilon)
         return backend
 
     def _set_cells(
-        self, sc: np.ndarray, dep: np.ndarray, smoothing: float, epsilon: float
+        self, sc: np.ndarray, indep: np.ndarray, smoothing: float, epsilon: float
     ) -> None:
-        """Adopt the cells as float64 and build the per-problem products."""
+        """Adopt float64 ``SC`` and ``indep``, the independent cells' 0/1
+        mask, and build what both models read."""
         self.smoothing = smoothing
         self.epsilon = epsilon
         self.sc = np.asarray(sc, dtype=np.float64)
-        self.dep = np.asarray(dep, dtype=np.float64)
-        self.indep = 1.0 - self.dep
-        # Masked claim products, built once instead of once per M-step.
-        self.sc_indep = self.sc * self.indep
-        self.sc_dep = self.sc * self.dep
+        self.indep = indep
+        # Masked claim product, built once instead of once per M-step.
+        self.sc_indep = self.sc * indep
         # Flat pair-table rows (4·source + 2·D + SC): both models' gathers.
-        self._codes = flat_claim_codes(self.sc != 0, self.dep != 0)
+        self._codes = flat_claim_codes(self.sc != 0, indep == 0)
 
     # -- parameter construction --------------------------------------------------
 
@@ -487,9 +494,11 @@ class MaskedDenseBackend:
     counts — they are treated as *missing*, not as non-claims.  This is
     :class:`DenseBackend`'s independence model over the cells of
     ``(SC, D′ = 1 − mask)``: the EM (IPSN 2012) baseline passes an
-    all-ones mask and EM-Social (IPSN 2014) passes ``1 − D``.  It stays
-    a class of its own because ``bench/layers.py`` times its two steps
-    as the ``engine.masked.step`` layer.
+    all-ones mask and EM-Social (IPSN 2014) passes ``1 − D``.  The
+    dense backend builds only what that model reads: the kept claims
+    and cells and the codes.  It stays a class of its own because
+    ``bench/layers.py`` times its two steps as the ``engine.masked.step``
+    layer.
 
     Parameters are :class:`IndependentParameters` (per-source ``t, b``
     plus the prior ``z``), not the full
@@ -509,8 +518,8 @@ class MaskedDenseBackend:
                 f"mask shape {np.shape(mask)} does not match claims {np.shape(sc)}"
             )
         self.epsilon = epsilon
-        self._cells = DenseBackend._of_cells(
-            sc, 1.0 - check_binary(mask, "mask"), smoothing=smoothing, epsilon=epsilon
+        self._cells = DenseBackend._independent_model(
+            sc, check_binary(mask, "mask"), smoothing=smoothing, epsilon=epsilon
         )
 
     @property

@@ -27,16 +27,23 @@ Pool-mode generation procedure (paper Section V-A):
    selected sub-pool.  Opportunities whose selected sub-pool is empty
    are forfeited.
 
-The generator emits a timestamped :class:`EventLog` (roots in the
-``[0, 1)`` time band, leaves in ``[1, 2)``) and derives ``(SC, D)``
-through the same :func:`repro.network.dependency.extract_dependency`
-code path used for field data — the synthetic pipeline therefore
-exercises the real substrate end to end.
+Both modes describe a timestamped :class:`EventLog` (roots in the
+``[0, 1)`` time band, leaves in ``[1, 2)``).  Pool mode emits the log
+and derives ``(SC, D)`` from it through the same
+:func:`repro.network.dependency.extract_dependency` code path used for
+field data.  Cell mode draws the cells as arrays instead, one
+``rng.random`` call for all roots and one for all leaves, and writes
+``(SC, D)`` directly: a leaf follows only its root, and roots post
+before leaves, so a leaf's ``D`` row is its root's ``SC`` row and a
+root's is zero — exactly what ``extract_dependency(…, policy="direct")``
+derives from the log.  The log itself is built on first access
+(:attr:`SyntheticDataset.log`).  ``tests/synthetic`` pins both
+equalities against the per-source loop the arrays replaced.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Set, Tuple
 
 import numpy as np
@@ -54,20 +61,48 @@ class SyntheticDataset:
     """Everything one generator run produced.
 
     ``problem.truth`` carries the ground-truth labels; ``realized``
-    records the concrete parameter draws; ``forest`` and ``log`` expose
-    the underlying social structure for substrate-level inspection.
+    records the concrete parameter draws; ``forest`` and :attr:`log`
+    expose the underlying social structure for substrate-level
+    inspection.  A cell-mode dataset builds its log from ``problem``
+    and ``forest`` on first access (:func:`_cell_log`), a log from
+    which ``extract_dependency(…, policy="direct")`` recovers
+    ``problem``.
     """
 
     problem: SensingProblem
     forest: LevelTwoForest
-    log: EventLog
     realized: RealizedParameters
     config: GeneratorConfig
+    _log: Optional[EventLog] = field(default=None, repr=False, compare=False)
+
+    @property
+    def log(self) -> EventLog:
+        """The timestamped posts behind ``problem``."""
+        if self._log is None:
+            self._log = _cell_log(self.problem.claims.values, self.forest)
+        return self._log
 
     @property
     def truth(self) -> np.ndarray:
         """Ground-truth labels (alias of ``problem.truth``)."""
         return self.problem.truth
+
+
+def _cell_log(claims: np.ndarray, forest: LevelTwoForest) -> EventLog:
+    """The cell-mode event log of a claim matrix.
+
+    Roots post at time 0.5, in ``forest.roots`` order, then leaves at
+    1.5, in ascending source order; each source's posts run in
+    assertion order and post ids count up from 0.
+    """
+    posts: List[Post] = []
+    for sources, time in ((forest.roots, 0.5), (sorted(forest.parent), 1.5)):
+        for source in sources:
+            for assertion in np.flatnonzero(claims[source]).tolist():
+                posts.append(
+                    Post(post_id=len(posts), source=source, assertion=assertion, time=time)
+                )
+    return EventLog(posts=posts)
 
 
 class SyntheticGenerator:
@@ -96,19 +131,20 @@ class SyntheticGenerator:
             config.n_sources, realized.n_trees, seed=derive_seed(rng)
         )
         if config.mode == "cell":
-            log = self._simulate_claims_cell(rng, forest, realized, truth)
+            log = None
+            claims, dependency = self._draw_cells(rng, forest, realized, truth)
         else:
             log = self._simulate_claims_pool(rng, forest, realized, truth)
-        claims, dependency = extract_dependency(
-            log, forest.graph, n_assertions=config.n_assertions, policy="direct"
-        )
+            claims, dependency = extract_dependency(
+                log, forest.graph, n_assertions=config.n_assertions, policy="direct"
+            )
         problem = SensingProblem(claims=claims, dependency=dependency, truth=truth)
         return SyntheticDataset(
             problem=problem,
             forest=forest,
-            log=log,
             realized=realized,
             config=config,
+            _log=log,
         )
 
     def generate_many(self, count: int) -> List[SyntheticDataset]:
@@ -155,79 +191,47 @@ class SyntheticGenerator:
         truth[true_ids] = 1
         return truth
 
-    def _simulate_claims_cell(
+    def _draw_cells(
         self,
         rng: np.random.Generator,
         forest: LevelTwoForest,
         realized: RealizedParameters,
         truth: np.ndarray,
-    ) -> EventLog:
-        """Model-faithful generation: independent Bernoulli cells.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Model-faithful generation: independent Bernoulli cells, as int8 ``(SC, D)``.
 
         Root cells (and leaf cells whose root stayed silent) fire with
         rate ``p_on · p_indepT`` on true assertions and
         ``p_on · (1 − p_indepT)`` on false ones; a leaf's
-        dependent-capable cells fire with ``p_dep · p_depT`` /
-        ``p_dep · (1 − p_depT)``.  Roots post in the ``[0, 1)`` time
-        band, leaves in ``[1, 2)``, so the standard dependency
-        extraction recovers exactly the intended ``D``.
+        dependent-capable cells (its ``D`` row: its root's claims) fire
+        with ``p_dep · p_depT`` / ``p_dep · (1 − p_depT)``.  The roots'
+        uniforms are drawn first, one ``(roots, m)`` block in
+        ``forest.roots`` order, then the leaves' in ascending source
+        order.
         """
-        config = self.config
-        m = config.n_assertions
         truth_f = truth.astype(np.float64)
-        posts: List[Post] = []
-        post_id = 0
-        root_set = set(forest.roots)
+        roots = np.array(forest.roots, dtype=np.intp)
+        leaves = np.array(sorted(forest.parent), dtype=np.intp)
+        parents = np.array([forest.parent[leaf] for leaf in leaves.tolist()], dtype=np.intp)
 
-        # Phase 1: roots.
-        root_claimed: dict = {}
-        for source in forest.roots:
-            bias = realized.p_indep_true[source]
-            rates = realized.p_on[source] * (
-                truth_f * bias + (1.0 - truth_f) * (1.0 - bias)
-            )
-            fired = np.flatnonzero(rng.random(m) < rates)
-            root_claimed[source] = set(fired.tolist())
-            for assertion in fired:
-                posts.append(
-                    Post(
-                        post_id=post_id,
-                        source=source,
-                        assertion=int(assertion),
-                        time=0.5,
-                    )
-                )
-                post_id += 1
+        def _rates(scale: np.ndarray, bias: np.ndarray) -> np.ndarray:
+            """``(k, m)`` rates ``scale · (bias on true, 1 − bias on false)``."""
+            bias = bias[:, None]
+            return scale[:, None] * (truth_f * bias + (1.0 - truth_f) * (1.0 - bias))
 
-        # Phase 2: leaves.
-        for source in range(config.n_sources):
-            if source in root_set:
-                continue
-            parent_claims = root_claimed[forest.parent[source]]
-            dep_mask = np.zeros(m)
-            if parent_claims:
-                dep_mask[sorted(parent_claims)] = 1.0
-            indep_bias = realized.p_indep_true[source]
-            dep_bias = realized.p_dep_true[source]
-            indep_rates = realized.p_on[source] * (
-                truth_f * indep_bias + (1.0 - truth_f) * (1.0 - indep_bias)
-            )
-            dep_rates = realized.p_dep[source] * (
-                truth_f * dep_bias + (1.0 - truth_f) * (1.0 - dep_bias)
-            )
-            rates = dep_mask * dep_rates + (1.0 - dep_mask) * indep_rates
-            fired = np.flatnonzero(rng.random(m) < rates)
-            for assertion in fired:
-                posts.append(
-                    Post(
-                        post_id=post_id,
-                        source=source,
-                        assertion=int(assertion),
-                        time=1.5,
-                    )
-                )
-                post_id += 1
-        return EventLog(posts=posts)
+        claims = np.zeros((self.config.n_sources, truth.size), dtype=np.int8)
+        dependency = np.zeros_like(claims)
+        claims[roots] = rng.random((roots.size, truth.size)) < _rates(
+            realized.p_on[roots], realized.p_indep_true[roots]
+        )
+        dependency[leaves] = claims[parents]
+        leaf_rates = np.where(
+            dependency[leaves] == 1,
+            _rates(realized.p_dep[leaves], realized.p_dep_true[leaves]),
+            _rates(realized.p_on[leaves], realized.p_indep_true[leaves]),
+        )
+        claims[leaves] = rng.random(leaf_rates.shape) < leaf_rates
+        return claims, dependency
 
     def _simulate_claims_pool(
         self,
