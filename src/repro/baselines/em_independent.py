@@ -20,13 +20,11 @@ EM, ``D′ = D`` for EM-Social — which is also what the staged
 initialisation's stage one fits.
 :class:`~repro.engine.backends.MaskedDenseBackend` adapts it to a 0/1
 cell mask (``mask = 1 − D′``), driven by the same
-:class:`~repro.engine.driver.EMDriver` (restarts, convergence, tracing,
-telemetry) the dependency-aware estimators use.
+:class:`~repro.engine.driver.EMDriver` (restarts, convergence, tracing)
+the dependency-aware estimators use.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +34,7 @@ from repro.core.result import EstimationResult
 from repro.data.dense import DenseProblem
 from repro.data.protocol import Problem
 from repro.engine.backends import IndependentParameters, MaskedDenseBackend
-from repro.engine.driver import EMDriver, IterationCallback
+from repro.engine.driver import EMDriver
 from repro.engine.initialisation import support_initialisation
 from repro.utils.errors import ValidationError
 from repro.utils.rng import SeedLike
@@ -59,7 +57,6 @@ class _MaskedIndependentEM(FactFinder):
         init_strategy: str = "support",
         smoothing: float = 0.0,
         seed: SeedLike = None,
-        callbacks: Sequence[IterationCallback] = (),
     ):
         check_positive_int(max_iterations, "max_iterations")
         check_positive_int(n_restarts, "n_restarts")
@@ -80,7 +77,6 @@ class _MaskedIndependentEM(FactFinder):
         self.init_strategy = init_strategy
         self.smoothing = smoothing
         self._seed = seed
-        self.callbacks = tuple(callbacks)
 
     # Subclasses define which cells participate.
     def _mask(self, problem: DenseProblem) -> np.ndarray:
@@ -98,7 +94,6 @@ class _MaskedIndependentEM(FactFinder):
             max_iterations=self.max_iterations,
             tolerance=self.tolerance,
             n_restarts=self.n_restarts,
-            callbacks=self.callbacks,
         )
 
         def _init(index: int, rng: np.random.Generator) -> IndependentParameters:

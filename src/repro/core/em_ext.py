@@ -46,9 +46,8 @@ from repro.core.result import EstimationResult
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMAT_CSR, FORMAT_DENSE, Problem
 from repro.engine.backends import CSRBackend, DenseBackend, make_backend
-from repro.engine.driver import EMDriver, IterationCallback
+from repro.engine.driver import EMDriver
 from repro.engine.initialisation import staged_initialisation, support_initialisation
-from repro.parallel.merge import replay_events
 from repro.utils.errors import ValidationError
 from repro.utils.rng import RandomState, SeedLike, spawn_rngs
 from repro.utils.validation import check_positive_int
@@ -122,10 +121,9 @@ class EMConfig:
           :func:`fit_em_ext_batch`, retiring converged lanes as they
           finish.  Bit-for-bit the same selected fixed point, several
           times faster at Fig. 7 sizes once ``n_restarts`` reaches ~8.
-          As in :func:`fit_em_ext_batch`, callbacks see the events only
-          after the batch finishes (an early-stop request cannot reach
-          a lane) and a wall budget cuts the whole batch at once.  A
-          problem that stays CSR, or a single restart, runs serially.
+          As in :func:`fit_em_ext_batch`, a wall budget cuts the whole
+          batch at once.  A problem that stays CSR, or a single
+          restart, runs serially.
     """
 
     max_iterations: int = 200
@@ -185,12 +183,10 @@ class EMExtEstimator:
         *,
         seed: SeedLike = None,
         initial_parameters: Optional[SourceParameters] = None,
-        callbacks: Sequence[IterationCallback] = (),
     ):
         self.config = config or EMConfig()
         self._seed = seed
         self.initial_parameters = initial_parameters
-        self.callbacks = tuple(callbacks)
 
     # -- public API ------------------------------------------------------------
 
@@ -234,7 +230,7 @@ class EMExtEstimator:
             smoothing=self.config.smoothing,
             epsilon=self.config.epsilon,
         )
-        driver = EMDriver.from_config(self.config, callbacks=self.callbacks)
+        driver = EMDriver.from_config(self.config)
         outcome = driver.fit(backend, self._initialiser(backend), self._seed)
         return EstimationResult(
             algorithm=self.algorithm_name,
@@ -252,15 +248,12 @@ class EMExtEstimator:
 
     def _fit_lanes(self, problem: Problem) -> EstimationResult:
         """All restarts as lanes of one batched pass (the shared planner)."""
-        ((result, events, error),) = _batch_lane_outcomes(
+        ((result, error),) = _batch_lane_outcomes(
             [problem],
             [self._seed],
             self.config,
             initial_parameters=[self.initial_parameters],
-            collect_events=bool(self.callbacks),
         )
-        if events:
-            replay_events(events, self.callbacks)
         if error is not None:
             raise error
         return result
@@ -325,9 +318,8 @@ def _batch_lane_outcomes(
     *,
     initial_parameters: Optional[Sequence[Optional[SourceParameters]]] = None,
     budget: Optional["Deadline"] = None,
-    collect_events: bool = False,
-) -> List[Tuple[Optional[EstimationResult], list, Optional[Exception]]]:
-    """One ``(result, events, error)`` triple per problem, lane-batched.
+) -> List[Tuple[Optional[EstimationResult], Optional[Exception]]]:
+    """One ``(result, error)`` pair per problem, lane-batched.
 
     The lane planner behind :func:`fit_em_ext_batch`,
     ``EMConfig(restart_mode="batched")``, the harness's
@@ -339,17 +331,14 @@ def _batch_lane_outcomes(
     per-problem results are bit-for-bit what the scalar
     :meth:`EMExtEstimator.fit` would return with the same seed.  A
     problem whose setup or selection raises carries the exception in
-    its own triple instead of poisoning the batch (the caller decides
+    its own pair instead of poisoning the batch (the caller decides
     whether to re-raise or eject the lane to the scalar path).
 
-    ``events`` holds the problem's per-iteration telemetry in restart
-    order (empty unless ``collect_events``); per-event numbers match
-    the scalar run except ``duration_seconds``, which is the shared
-    batched pass's wall time.  ``config.max_wall_seconds``, when set,
-    budgets the *whole* batch — lanes share each pass's wall clock, so
-    a per-problem budget is not separable (timing budgets were never
-    bitwise-reproducible anyway).  Its clock starts on entry, as in
-    :meth:`EMDriver.fit`, so initialiser time counts against it.
+    ``config.max_wall_seconds``, when set, budgets the *whole* batch —
+    lanes share each pass's wall clock, so a per-problem budget is not
+    separable (timing budgets were never bitwise-reproducible anyway).
+    Its clock starts on entry, as in :meth:`EMDriver.fit`, so
+    initialiser time counts against it.
 
     ``initial_parameters``, when given, supplies one optional warm
     start per problem: entry ``t`` plays the role of
@@ -426,34 +415,31 @@ def _batch_lane_outcomes(
             tolerance=config.tolerance,
             deadline=deadline,
             budget=budget,
-            collect_events=collect_events,
         )
         if lane_params
         else []
     )
-    outcomes: List[Tuple[Optional[EstimationResult], list, Optional[Exception]]] = []
+    outcomes: List[Tuple[Optional[EstimationResult], Optional[Exception]]] = []
     cursor = 0
     for indices, init_errors, setup_error in staged:
         if setup_error is not None:
-            outcomes.append((None, [], setup_error))
+            outcomes.append((None, setup_error))
             continue
         lane_by_index = {}
         for index in indices:
             lane_by_index[index] = lanes[cursor]
             cursor += 1
-        events: list = []
         triples = []
         for index in range(config.n_restarts):
             if index in init_errors:
                 triples.append((index, None, init_errors[index]))
                 continue
             lane = lane_by_index[index]
-            events.extend(lane.events)
             triples.append((index, lane.outcome, lane.error))
         try:
             outcome = driver.consume_candidates(iter(triples))
         except Exception as error:
-            outcomes.append((None, events, error))
+            outcomes.append((None, error))
             continue
         outcomes.append(
             (
@@ -468,7 +454,6 @@ def _batch_lane_outcomes(
                     trace=outcome.trace,
                     health=outcome.health,
                 ),
-                events,
                 None,
             )
         )
@@ -482,7 +467,6 @@ def fit_em_ext_batch(
     config: Optional[EMConfig] = None,
     initial_parameters: Optional[Sequence[Optional[SourceParameters]]] = None,
     budget: Optional["Deadline"] = None,
-    callbacks: Sequence[IterationCallback] = (),
 ) -> List[EstimationResult]:
     """Fit EM-Ext on many same-shape problems as one batched tensor pass.
 
@@ -497,14 +481,7 @@ def fit_em_ext_batch(
     :class:`~repro.resilience.supervisor.Deadline` (the serving
     layer's drain budget).  Requires same-shape problems
     (CSR input is densified); a problem whose fit would raise re-raises
-    the same exception here, after earlier problems' telemetry has been
-    delivered.
-
-    ``callbacks`` receive each problem's :class:`IterationEvent` stream
-    after the batch completes, in problem-then-restart order; the
-    events carry the scalar run's deltas and log-likelihoods but the
-    shared pass's wall time, and an early-stop request cannot reach an
-    already-finished lane.
+    the same exception here.
     """
     config = config or EMConfig()
     outcomes = _batch_lane_outcomes(
@@ -513,12 +490,9 @@ def fit_em_ext_batch(
         config,
         initial_parameters=initial_parameters,
         budget=budget,
-        collect_events=bool(callbacks),
     )
     results: List[EstimationResult] = []
-    for result, events, error in outcomes:
-        if callbacks and events:
-            replay_events(events, callbacks)
+    for result, error in outcomes:
         if error is not None:
             raise error
         assert result is not None

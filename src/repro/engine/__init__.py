@@ -24,10 +24,10 @@ lane axis, divided by one :func:`ratio_update` and clamped once.
 * :mod:`repro.engine.initialisation` — the ``support`` / ``staged`` /
   ``random`` warm starts, written once and parameterised by backend;
 * :mod:`repro.engine.driver` — the generic :class:`EMDriver` owning
-  restarts, tolerance/max-iteration convergence,
-  :class:`~repro.core.model.ParameterTrace` recording and
-  per-iteration telemetry callbacks (:class:`IterationEvent`,
-  :class:`TelemetryRecorder`).
+  restarts, tolerance/max-iteration convergence and
+  :class:`~repro.core.model.ParameterTrace` recording; the trace, the
+  :class:`RunHealth` report and the ``em.*`` observability counters are
+  a fit's one record of its iterations.
 
 * :mod:`repro.engine.batched` — the lane engine: many same-shape EM
   runs as one ``(B, n, m)`` tensor pass (:class:`BatchedDenseBackend`,
@@ -49,12 +49,7 @@ from repro.engine.batched import (
     BatchedSourceParameters,
     run_batched_lanes,
 )
-from repro.engine.driver import (
-    DriverOutcome,
-    EMDriver,
-    IterationEvent,
-    TelemetryRecorder,
-)
+from repro.engine.driver import DriverOutcome, EMDriver
 from repro.engine.health import (
     FAILED_STATUSES,
     RESTART_STATUSES,
@@ -78,14 +73,12 @@ __all__ = [
     "DriverOutcome",
     "EMDriver",
     "FAILED_STATUSES",
-    "IterationEvent",
     "MaskedDenseBackend",
     "ParallelConfig",
     "RESTART_STATUSES",
     "RestartReport",
     "RunHealth",
     "SufficientStatistics",
-    "TelemetryRecorder",
     "make_backend",
     "ratio_update",
     "run_batched_lanes",

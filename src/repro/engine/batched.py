@@ -74,13 +74,9 @@ is a no-op when no session is active and changes no numerics):
 * ``em.iterations`` is counted per *lane* iteration, keeping counter
   totals identical to the serial loop.
 
-Timing caveat: per-iteration ``IterationEvent.duration_seconds`` is the
-duration of the *shared* batched pass (all active lanes), not a
-per-lane cost — numeric fields are bitwise-serial, durations are not.
-Events are built only when ``collect_events`` is set (the lane planner
-requests them when telemetry callbacks are attached); traces are
-always recorded.  Early-stop requests from callbacks are ignored:
-events are replayed after the fact.
+Each lane records its own :class:`~repro.core.model.ParameterTrace`,
+bit for bit the serial one; wall time is only measured per batch
+(the ``engine.batched.run`` span), since lanes share every pass.
 """
 
 from __future__ import annotations
@@ -100,7 +96,7 @@ from repro.core.model import (
     SourceParameters,
     clip_rates,
 )
-from repro.engine.driver import DriverOutcome, IterationEvent
+from repro.engine.driver import DriverOutcome
 from repro.engine.statistics import ratio_update
 from repro.kernels.likelihood import (
     batched_flat_claim_codes,
@@ -412,15 +408,11 @@ class BatchedLaneResult:
 
     Exactly one of ``outcome`` / ``error`` is set, matching the
     ``(index, candidate, error)`` triples the driver's candidate
-    streams yield.  ``events`` carries the lane's per-iteration
-    telemetry for after-the-fact replay (a faulted lane keeps the
-    events of the iterations that completed before the fault, as in
-    the serial loop); it stays empty unless the run collected events.
+    streams yield.
     """
 
     outcome: Optional[DriverOutcome]
     error: Optional[str]
-    events: List[IterationEvent]
 
 
 def run_batched_lanes(
@@ -431,23 +423,17 @@ def run_batched_lanes(
     tolerance: float,
     deadline: Optional[float] = None,
     budget: Optional["Deadline"] = None,
-    collect_events: bool = True,
 ) -> List[BatchedLaneResult]:
     """Run every lane to its own fixed point in shared batched passes.
 
     The per-lane loop semantics replicate ``EMDriver.run`` exactly —
-    record trace/event, then divergence check, then tolerance, then
+    record the trace, then divergence check, then tolerance, then
     wall deadline, then cooperative budget — with one structural
     difference: a wall ``deadline`` or a supervision ``budget`` cuts
     the *whole batch* at a pass boundary (all still-active lanes are
     marked ``budget_exhausted`` / the ``DeadlineExceeded`` propagates),
     because lanes share each pass's wall clock.  Timing-dependent
     budgets were never bitwise-reproducible, serial or not.
-
-    ``collect_events`` gates per-iteration :class:`IterationEvent`
-    construction (the one per-lane artefact nothing consumes unless
-    telemetry callbacks are attached); traces and outcomes are always
-    produced and are unaffected by the flag.
     """
     n_lanes = len(initial_params)
     if n_lanes != backend.n_lanes:
@@ -457,7 +443,6 @@ def run_batched_lanes(
     observability.count("engine.batched.lanes", n_lanes)
     params = BatchedSourceParameters.stack(initial_params)
     traces = [ParameterTrace() for _ in range(n_lanes)]
-    events: List[List[IterationEvent]] = [[] for _ in range(n_lanes)]
     results: List[Optional[BatchedLaneResult]] = [None] * n_lanes
     #: results index of each still-active lane, in lane order.
     active = np.arange(n_lanes)
@@ -484,9 +469,7 @@ def run_batched_lanes(
             diverged=diverged,
             budget_exhausted=budget_exhausted,
         )
-        return BatchedLaneResult(
-            outcome=outcome, error=None, events=events[lane]
-        )
+        return BatchedLaneResult(outcome=outcome, error=None)
 
     with observability.span(
         "engine.batched.run", n_lanes=n_lanes, max_iterations=max_iterations
@@ -497,24 +480,18 @@ def run_batched_lanes(
                 break
             observability.observe_value("engine.batched.occupancy", active.size)
             observability.count("em.iterations", active.size)
-            start = time.perf_counter()
             new_params = backend.m_step(posterior, params)
             faults = new_params.lane_faults()
             if faults is not None:
                 # Serial parity: the faulted lane raised inside m_step,
-                # before this iteration's trace record — it keeps only
-                # its earlier events and yields no candidate.
+                # before this iteration's trace record, and yields no
+                # candidate.
                 for position in np.flatnonzero(
                     [fault is not None for fault in faults]
                 ):
-                    lane = int(active[position])
                     _retire(
-                        lane,
-                        BatchedLaneResult(
-                            outcome=None,
-                            error=faults[position],
-                            events=events[lane],
-                        ),
+                        int(active[position]),
+                        BatchedLaneResult(outcome=None, error=faults[position]),
                     )
                 keep = np.flatnonzero([fault is None for fault in faults])
                 active = active[keep]
@@ -527,7 +504,6 @@ def run_batched_lanes(
             deltas = new_params.max_difference(params)
             params = new_params
             posterior, log_likelihoods = backend.e_step(params)
-            duration = time.perf_counter() - start
             # Python-float views of the per-lane numbers: `tolist`
             # round-trips float64 exactly, and `math.isfinite` on the
             # result matches `np.isfinite` — this keeps the per-lane
@@ -543,15 +519,6 @@ def run_batched_lanes(
                 delta = delta_list[position]
                 log_likelihood = ll_list[position]
                 traces[lane].record(log_likelihood, delta)
-                if collect_events:
-                    events[lane].append(
-                        IterationEvent(
-                            iteration=iteration,
-                            delta=delta,
-                            log_likelihood=log_likelihood,
-                            duration_seconds=duration,
-                        )
-                    )
                 if not (math.isfinite(delta) and math.isfinite(log_likelihood)):
                     _retire(
                         lane,

@@ -1,4 +1,4 @@
-"""The generic EM driver: restarts, convergence, tracing, telemetry.
+"""The generic EM driver: restarts, convergence, tracing.
 
 :class:`EMDriver` owns the loop every EM family in the library shares
 (Algorithm 2's "while {θ} are not convergent"): M-step, parameter
@@ -7,16 +7,11 @@ tolerance/max-iteration convergence and multi-restart selection by
 observed-data log likelihood.  The numerical work is delegated to a
 backend from :mod:`repro.engine.backends`.
 
-Telemetry
----------
-Callbacks receive one :class:`IterationEvent` per EM iteration —
-iteration index, parameter delta, log likelihood and wall-clock
-duration — so harnesses and diagnostics can observe convergence
-without poking at estimator internals.  A callback that returns a
-truthy value requests an early stop: the loop ends after the current
-iteration with ``converged=False`` (unless the iteration also met the
-tolerance).  :class:`TelemetryRecorder` is the batteries-included
-callback that accumulates events across runs.
+A fit leaves one record of its iterations: the Equation (7) log
+likelihood and the parameter delta of each iteration in the result's
+trace, each restart's outcome in its :class:`RunHealth`, and the
+``em.iterations`` / ``em.restarts`` counters and ``em.run`` / ``em.fit``
+spans of an :func:`repro.observability.observe` session.
 
 Run health
 ----------
@@ -42,16 +37,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -63,57 +49,6 @@ from repro.utils.rng import RandomState, SeedLike, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.resilience.supervisor import Deadline
-
-#: Per-iteration callback; a truthy return value requests an early stop.
-IterationCallback = Callable[["IterationEvent"], Optional[bool]]
-
-
-@dataclass(frozen=True)
-class IterationEvent:
-    """One EM iteration as seen by telemetry callbacks."""
-
-    iteration: int
-    delta: float
-    log_likelihood: float
-    duration_seconds: float
-
-
-class TelemetryRecorder:
-    """Callback that accumulates :class:`IterationEvent` records.
-
-    One recorder may be shared across many estimator runs (e.g. every
-    trial of a simulation); it simply concatenates events.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[IterationEvent] = []
-
-    def __call__(self, event: IterationEvent) -> None:
-        self.events.append(event)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def n_iterations(self) -> int:
-        """Total EM iterations observed."""
-        return len(self.events)
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall-clock time spent inside EM iterations."""
-        return float(sum(e.duration_seconds for e in self.events))
-
-    @property
-    def mean_iteration_seconds(self) -> float:
-        """Mean wall-clock time per EM iteration."""
-        if not self.events:
-            return float("nan")
-        return self.total_seconds / len(self.events)
-
-    def clear(self) -> None:
-        """Drop all accumulated events."""
-        self.events.clear()
 
 
 @dataclass
@@ -147,7 +82,7 @@ class DriverOutcome:
 
 
 class EMDriver:
-    """Backend-agnostic EM loop with restarts and telemetry hooks."""
+    """Backend-agnostic EM loop with restarts."""
 
     def __init__(
         self,
@@ -155,7 +90,6 @@ class EMDriver:
         max_iterations: int,
         tolerance: float,
         n_restarts: int = 1,
-        callbacks: Sequence[IterationCallback] = (),
         strict: bool = False,
         max_wall_seconds: Optional[float] = None,
         budget: Optional["Deadline"] = None,
@@ -167,23 +101,17 @@ class EMDriver:
         self.max_iterations = max_iterations
         self.tolerance = tolerance
         self.n_restarts = n_restarts
-        self.callbacks = tuple(callbacks)
         self.strict = strict
         self.max_wall_seconds = max_wall_seconds
         self.budget = budget
 
     @classmethod
-    def from_config(
-        cls,
-        config: Any,
-        callbacks: Sequence[IterationCallback] = (),
-    ) -> "EMDriver":
+    def from_config(cls, config: Any) -> "EMDriver":
         """Build from an :class:`~repro.core.em_ext.EMConfig`."""
         return cls(
             max_iterations=config.max_iterations,
             tolerance=config.tolerance,
             n_restarts=config.n_restarts,
-            callbacks=callbacks,
             strict=getattr(config, "strict", False),
             max_wall_seconds=getattr(config, "max_wall_seconds", None),
         )
@@ -214,25 +142,12 @@ class EMDriver:
         budget_exhausted = False
         with observability.span("em.run", max_iterations=self.max_iterations):
             for iteration in range(self.max_iterations):
-                start = time.perf_counter()
                 new_params = backend.m_step(posterior, params)
                 delta = new_params.max_difference(params)
                 params = new_params
                 posterior, log_likelihood = backend.e_step(params)
                 trace.record(log_likelihood, delta)
-                duration = time.perf_counter() - start
                 observability.count("em.iterations")
-                stop_requested = False
-                for callback in self.callbacks:
-                    if callback(
-                        IterationEvent(
-                            iteration=iteration,
-                            delta=delta,
-                            log_likelihood=log_likelihood,
-                            duration_seconds=duration,
-                        )
-                    ):
-                        stop_requested = True
                 if not (math.isfinite(delta) and math.isfinite(log_likelihood)):
                     diverged = True
                     break
@@ -249,8 +164,6 @@ class EMDriver:
                         delta=float(delta),
                         log_likelihood=float(log_likelihood),
                     )
-                if stop_requested:
-                    break
         return DriverOutcome(
             parameters=params,
             posterior=posterior,
@@ -423,9 +336,6 @@ class EMDriver:
 __all__ = [
     "DriverOutcome",
     "EMDriver",
-    "IterationCallback",
-    "IterationEvent",
     "RestartReport",
     "RunHealth",
-    "TelemetryRecorder",
 ]

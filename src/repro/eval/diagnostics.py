@@ -15,8 +15,6 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.core.result import EstimationResult
-from repro.engine.driver import IterationEvent
-from repro.resilience.policy import ACTION_RETRIED, ACTION_SKIPPED, TrialFailure
 from repro.utils.errors import ValidationError
 
 
@@ -128,72 +126,6 @@ def em_diagnostics(result: EstimationResult) -> EMDiagnostics:
 
 
 # ---------------------------------------------------------------------------
-# Engine telemetry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TelemetrySummary:
-    """Aggregate view of per-iteration engine telemetry.
-
-    Summarises the :class:`~repro.engine.driver.IterationEvent` stream a
-    :class:`~repro.engine.driver.TelemetryRecorder` collects — across
-    one EM run or across every run of a harness experiment point.
-    """
-
-    n_iterations: int
-    total_seconds: float
-    mean_iteration_seconds: float
-    max_iteration_seconds: float
-    final_delta: float
-    mean_log_likelihood_delta: float
-    #: Trial-level failure counts from the harness ledger (all zero for
-    #: fault-free runs, or when no ledger was passed in).
-    n_trial_failures: int = 0
-    n_retried: int = 0
-    n_skipped: int = 0
-
-    @property
-    def iterations_per_second(self) -> float:
-        """Throughput of the EM loop (NaN when no time was recorded)."""
-        if self.total_seconds <= 0.0:
-            return float("nan")
-        return self.n_iterations / self.total_seconds
-
-
-def summarize_telemetry(
-    events: Sequence[IterationEvent],
-    failures: Sequence["TrialFailure"] = (),
-) -> TelemetrySummary:
-    """Condense recorded iteration events into a :class:`TelemetrySummary`.
-
-    ``failures`` optionally takes a harness failure ledger
-    (:attr:`~repro.eval.harness.SimulationResult.failures`), folding
-    trial-level failure counts into the summary alongside the
-    per-iteration timings.
-    """
-    if not events:
-        raise ValidationError("no telemetry events recorded")
-    durations = np.array([e.duration_seconds for e in events], dtype=np.float64)
-    lls = np.array([e.log_likelihood for e in events], dtype=np.float64)
-    ll_deltas = np.diff(lls)
-    n_retried = sum(1 for f in failures if f.action == ACTION_RETRIED)
-    n_skipped = sum(1 for f in failures if f.action == ACTION_SKIPPED)
-    return TelemetrySummary(
-        n_iterations=len(events),
-        total_seconds=float(durations.sum()),
-        mean_iteration_seconds=float(durations.mean()),
-        max_iteration_seconds=float(durations.max()),
-        final_delta=float(events[-1].delta),
-        mean_log_likelihood_delta=(
-            float(ll_deltas.mean()) if ll_deltas.size else 0.0
-        ),
-        n_trial_failures=len(failures),
-        n_retried=n_retried,
-        n_skipped=n_skipped,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Posterior calibration
 # ---------------------------------------------------------------------------
 
@@ -266,12 +198,10 @@ def expected_calibration_error(
 __all__ = [
     "CalibrationBin",
     "EMDiagnostics",
-    "TelemetrySummary",
     "autocorrelation",
     "calibration_curve",
     "effective_sample_size",
     "em_diagnostics",
     "expected_calibration_error",
     "gelman_rubin",
-    "summarize_telemetry",
 ]

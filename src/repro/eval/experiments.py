@@ -29,7 +29,6 @@ from repro.bounds import (
 )
 from repro.core.em_ext import EMConfig
 from repro.datasets import DATASET_ORDER, get_spec, simulate_dataset
-from repro.engine.driver import TelemetryRecorder
 from repro.eval.harness import SweepResult, run_sweep
 from repro.parallel import ParallelConfig
 from repro.pipeline import SimulatedGrader, grade_top_k
@@ -256,7 +255,6 @@ def _estimator_sweep(
     n_trials: Optional[int] = None,
     seed: SeedLike = 0,
     include_optimal: bool = True,
-    telemetry: Optional[TelemetryRecorder] = None,
     parallel: Optional[ParallelConfig] = None,
     trial_mode: str = "serial",
     batch_size: Optional[int] = None,
@@ -275,7 +273,6 @@ def _estimator_sweep(
         n_trials=n_trials if n_trials is not None else estimator_trials(),
         include_optimal=include_optimal,
         bound_config=bound_config,
-        telemetry=telemetry,
         parallel=parallel,
         trial_mode=trial_mode,
         batch_size=batch_size,

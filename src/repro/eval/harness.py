@@ -31,8 +31,7 @@ master-RNG draw — dataset generation and trial/optimal seed derivation
 order, so a parallel sweep is bit-for-bit identical to a serial one and
 composes unchanged with the failure policy, the ledger, and
 checkpoint/resume (the checkpoint loop sees the same ordered stream of
-completed trials).  Worker-side telemetry events are replayed into the
-parent's recorder in that same order.
+completed trials).
 """
 
 from __future__ import annotations
@@ -56,9 +55,8 @@ from repro.bounds import (
 from repro.core.em_ext import EMConfig
 from repro.data.coerce import coerce_problem
 from repro.data.protocol import FORMATS, FORMAT_DENSE
-from repro.engine.driver import TelemetryRecorder
 from repro.eval.metrics import ClassificationMetrics, score_result
-from repro.parallel import ParallelConfig, parallel_imap, replay_events
+from repro.parallel import ParallelConfig, parallel_imap
 from repro.resilience.checkpoint import (
     load_checkpoint,
     save_checkpoint,
@@ -215,7 +213,6 @@ class _TrialSpec:
     em_config: Optional[EMConfig]
     bound_config: GibbsConfig
     exact_limit: int
-    record_events: bool
     bound_deadline_seconds: Optional[float] = None
     #: Set when the parent has an observability session open and the
     #: trials run in workers: each worker collects its own session and
@@ -225,12 +222,11 @@ class _TrialSpec:
 
 @dataclass
 class _TrialOutcome:
-    """What one trial produced: metrics, ledger entries, telemetry."""
+    """What one trial produced: metrics and ledger entries."""
 
     trial: int
     metrics: List  # [(name, Optional[ClassificationMetrics]), ...]
     failures: List[TrialFailure]
-    events: List
     #: Worker-side observability payload (empty on the serial path,
     #: where records land in the parent's ambient session directly).
     spans: List = field(default_factory=list)
@@ -238,7 +234,7 @@ class _TrialOutcome:
 
 
 def _run_trial(
-    task: _TrialTask, spec: _TrialSpec, telemetry=None, breakers=None, prefit=None
+    task: _TrialTask, spec: _TrialSpec, breakers=None, prefit=None
 ) -> _TrialOutcome:
     """Fit and score every algorithm of one trial (runs in a worker).
 
@@ -254,16 +250,14 @@ def _run_trial(
     without running.
 
     ``prefit`` (serial path only, set by ``trial_mode="batched"``) maps
-    algorithm names to ``(result, events)`` pairs computed ahead of
-    time as batched lanes.  Because ``retry_seed(base, 0) == base``,
-    attempt 0 of a prefit algorithm consumes the lane result — which is
-    bit-for-bit the scalar fit — and replays its telemetry; retry
-    attempts reseed and fall through to the scalar path.
+    algorithm names to results computed ahead of time as batched
+    lanes.  Because ``retry_seed(base, 0) == base``, attempt 0 of a
+    prefit algorithm consumes the lane result — which is bit-for-bit
+    the scalar fit; retry attempts reseed and fall through to the
+    scalar path.
     """
     problem = task.problem
     blind = problem.without_truth()
-    recorder = TelemetryRecorder() if spec.record_events else None
-    callbacks = telemetry if telemetry is not None else recorder
     prefit = prefit or {}
     failures: List[TrialFailure] = []
     metrics_by_name = []
@@ -298,13 +292,10 @@ def _run_trial(
 
             def _fit_and_score(fit_seed: int, name: str = name) -> ClassificationMetrics:
                 if name in prefit and fit_seed == task.trial_seed:
-                    result, lane_events = prefit[name]
+                    result = prefit[name]
                     observability.count("harness.batched.prefit_hits")
-                    if callbacks is not None:
-                        replay_events(lane_events, (callbacks,))
                 else:
-                    finder = _make(name, fit_seed, spec.em_config, callbacks)
-                    result = finder.fit(blind)
+                    result = _make(name, fit_seed, spec.em_config).fit(blind)
                 if not np.all(np.isfinite(result.scores)):
                     raise DataError(
                         f"{name} produced non-finite scores on trial {task.trial}"
@@ -327,10 +318,7 @@ def _run_trial(
             )
             metrics_by_name.append((OPTIMAL_KEY, metrics))
     return _TrialOutcome(
-        trial=task.trial,
-        metrics=metrics_by_name,
-        failures=failures,
-        events=list(recorder.events) if recorder is not None else [],
+        trial=task.trial, metrics=metrics_by_name, failures=failures
     )
 
 
@@ -340,8 +328,7 @@ def _trial_worker(payload) -> _TrialOutcome:
     With ``spec.record_observability`` set the trial runs under its own
     worker session (never the forked copy of the parent's) and the
     outcome carries the session's span trees and metrics snapshot for
-    in-order replay in the parent — the same discipline as telemetry
-    events.
+    in-order replay in the parent.
     """
     task, spec = payload
     if spec.record_observability:
@@ -385,7 +372,6 @@ def _timed_out_outcome(index, payload, error) -> _TrialOutcome:
             )
             for name in names
         ],
-        events=[],
     )
 
 
@@ -399,7 +385,6 @@ def run_simulation(
     bound_config: Optional[GibbsConfig] = None,
     em_config: Optional[EMConfig] = None,
     exact_limit: int = 20,
-    telemetry: Optional[TelemetryRecorder] = None,
     failure_policy: Optional[FailurePolicy] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_interval: int = 1,
@@ -416,10 +401,11 @@ def run_simulation(
     that many sources, Gibbs above (both bounded by
     :data:`MAX_EXACT_SOURCES`).
 
-    ``telemetry`` (a :class:`~repro.engine.driver.TelemetryRecorder`, or
-    any per-iteration callback) is attached to every EM-family estimator
-    the harness constructs, so iteration timings and log-likelihood
-    deltas accumulate across all trials of the experiment point.
+    The result keeps per-trial metrics and the failure ledger, not
+    per-fit iteration records.  An :func:`repro.observability.observe`
+    session around the call counts every trial's EM iterations
+    (``em.iterations``) and restarts (``em.restarts``), with the same
+    totals whether trials run serially, in lane packs or in workers.
 
     ``failure_policy`` governs per-(trial, algorithm) failures; see
     :class:`~repro.resilience.policy.FailurePolicy`.  The default
@@ -477,9 +463,7 @@ def run_simulation(
     the scalar path, deterministically reproducing the fault under the
     failure policy and recording the usual ledger entry.  Lane packs
     run in the parent and need the dense format, so ``parallel`` and
-    ``problem_format="csr"`` are rejected; telemetry events replay with
-    the scalar deltas and log-likelihoods (shared pass wall times), and
-    an early-stop request cannot reach an already-finished lane.
+    ``problem_format="csr"`` are rejected.
     """
     if n_trials <= 0:
         raise ValidationError(f"n_trials must be positive, got {n_trials}")
@@ -592,27 +576,21 @@ def run_simulation(
         em_config=em_config,
         bound_config=bound_config,
         exact_limit=exact_limit,
-        record_events=parallel is not None and telemetry is not None,
         bound_deadline_seconds=bound_deadline_seconds,
         record_observability=parallel is not None and observability.enabled(),
     )
-    prefit_by_trial: Dict[int, Dict[str, tuple]] = {}
+    prefit_by_trial: Dict[int, Dict[str, object]] = {}
     if trial_mode == "batched" and "em-ext" in spec.algorithms and tasks:
         prefit_by_trial = _prefit_em_ext_packs(
-            tasks,
-            em_config or EMConfig(),
-            batch_size,
-            collect_events=telemetry is not None,
+            tasks, em_config or EMConfig(), batch_size
         )
     if parallel is None:
         breakers = None
         if breaker_config is not None:
             names = list(algorithms) + ([OPTIMAL_KEY] if include_optimal else [])
             breakers = {name: CircuitBreaker(breaker_config) for name in names}
-        # Serial path: the estimators call the caller's telemetry
-        # callback live (preserving its early-stop protocol).
         outcomes = (
-            _run_trial(task, spec, telemetry, breakers, prefit_by_trial.get(task.trial))
+            _run_trial(task, spec, breakers, prefit_by_trial.get(task.trial))
             for task in tasks
         )
     else:
@@ -629,13 +607,11 @@ def run_simulation(
         )
     # The consumption loop drives the (lazy) serial generator or drains
     # the pool, so both paths' trial spans land under this one — worker
-    # trees are grafted here, in trial order, like telemetry events.
+    # trees are grafted here, in trial order.
     with observability.span(
         "harness.run_simulation", n_trials=n_trials, n_tasks=len(tasks)
     ):
         for outcome in outcomes:
-            if spec.record_events:
-                replay_events(outcome.events, (telemetry,))
             if spec.record_observability:
                 observability.graft(outcome.spans)
                 observability.merge_metrics(outcome.obs_metrics)
@@ -670,12 +646,10 @@ def _prefit_em_ext_packs(
     tasks: Sequence[_TrialTask],
     em_config: EMConfig,
     batch_size: Optional[int],
-    *,
-    collect_events: bool,
-) -> Dict[int, Dict[str, tuple]]:
+) -> Dict[int, Dict[str, object]]:
     """Fit every trial's ``em-ext`` as lanes of stacked tensor packs.
 
-    Returns ``trial → {"em-ext": (result, events)}`` for the lanes that
+    Returns ``trial → {"em-ext": result}`` for the lanes that
     completed.  A faulted lane — or a pack whose setup failed outright —
     is simply absent: ``_run_trial`` then re-runs that trial on the
     scalar path, which deterministically reproduces the fault under the
@@ -689,7 +663,7 @@ def _prefit_em_ext_packs(
         # occupancy to amortise per-pass dispatch, small enough that
         # the (lanes, n, m) stacks stay cache- and memory-friendly.
         batch_size = max(1, 64 // max(1, em_config.n_restarts))
-    prefit: Dict[int, Dict[str, tuple]] = {}
+    prefit: Dict[int, Dict[str, object]] = {}
     with observability.span(
         "harness.batched_prefit", n_trials=len(tasks), batch_size=batch_size
     ):
@@ -700,17 +674,16 @@ def _prefit_em_ext_packs(
                     [task.problem.without_truth() for task in pack],
                     [task.trial_seed for task in pack],
                     em_config,
-                    collect_events=collect_events,
                 )
             except Exception:
                 # Pack-level fault (e.g. shape drift): eject every lane.
                 observability.count("harness.batched.ejections", len(pack))
                 continue
-            for task, (result, events, error) in zip(pack, outcomes):
+            for task, (result, error) in zip(pack, outcomes):
                 if error is not None or result is None:
                     observability.count("harness.batched.ejections")
                     continue
-                prefit[task.trial] = {"em-ext": (result, events)}
+                prefit[task.trial] = {"em-ext": result}
     return prefit
 
 
@@ -759,17 +732,11 @@ def _attempt(
     return None
 
 
-def _make(
-    name: str,
-    seed: int,
-    em_config: Optional[EMConfig],
-    telemetry: Optional[TelemetryRecorder] = None,
-):
-    callbacks = (telemetry,) if telemetry is not None else ()
+def _make(name: str, seed: int, em_config: Optional[EMConfig]):
     if name == "em-ext":
-        return make_fact_finder(name, seed=seed, config=em_config, callbacks=callbacks)
+        return make_fact_finder(name, seed=seed, config=em_config)
     if name in ("em", "em-social"):
-        kwargs = {"seed": seed, "callbacks": callbacks}
+        kwargs = {"seed": seed}
         if em_config is not None:
             kwargs["smoothing"] = em_config.smoothing
         return make_fact_finder(name, **kwargs)

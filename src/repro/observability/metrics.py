@@ -96,7 +96,7 @@ class MetricsRegistry:
 
         Counters add, histograms combine their summaries, gauges take
         the snapshot's value (last write wins — callers merge snapshots
-        in task order, mirroring how worker telemetry is replayed).
+        in task order, as they graft worker span trees).
         """
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)

@@ -8,8 +8,8 @@ synthetic ``"session"`` span opened at construction, closed by
 
 Worker processes run their own tracer and ship their finished span
 trees back to the parent (spans are plain picklable dataclasses); the
-parent *grafts* them under its current span in task order — the same
-replay discipline the telemetry events use.  Grafted spans keep their
+parent *grafts* them under its current span in task order, the order
+a serial run would have opened them.  Grafted spans keep their
 originating ``pid``, and because ``perf_counter`` clocks are not
 comparable across processes, well-formedness (children nested inside
 parent intervals) is only enforced between spans of the same pid —

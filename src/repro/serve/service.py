@@ -443,7 +443,7 @@ class EstimationService:
         self.n_batched += len(pack)
         observability.count("serve.batched", len(pack))
         answered: List[Tuple[int, EstimationResponse]] = []
-        for item, (result, _events, error) in zip(pack, outcomes):
+        for item, (result, error) in zip(pack, outcomes):
             queued = max(0.0, drain_start - item.submitted_at)
             with observability.span(
                 "serve.request",

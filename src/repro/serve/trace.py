@@ -175,41 +175,46 @@ def load_trace(path: str) -> List[EstimationRequest]:
     return requests
 
 
+def _bytes_equal(a, b) -> bool:
+    """Whether two array-likes share dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def results_bitwise_equal(a, b) -> bool:
     """Whether two results are payload-identical, bit for bit.
 
-    Compares scores, decisions and — for estimation results — the
-    fitted parameters, log-likelihood and convergence report through
-    their byte representations, so NaNs with matching bit patterns
-    compare equal (two runs of the same deterministic code path agree
-    or differ exactly).
+    Compares scores, decisions and ``extras`` (where EM and EM-Social
+    keep their fitted rates) and — for estimation results — the fitted
+    parameters, log-likelihood, convergence report and the
+    per-iteration trace through their byte representations, so NaNs
+    with matching bit patterns compare equal (two runs of the same
+    deterministic code path agree or differ exactly).
     """
     if type(a) is not type(b) or a.algorithm != b.algorithm:
         return False
-    if a.scores.tobytes() != b.scores.tobytes():
+    if not (
+        _bytes_equal(a.scores, b.scores) and _bytes_equal(a.decisions, b.decisions)
+    ):
         return False
-    if a.decisions.tobytes() != b.decisions.tobytes():
+    if a.extras.keys() != b.extras.keys() or not all(
+        _bytes_equal(a.extras[key], b.extras[key]) for key in a.extras
+    ):
         return False
     if isinstance(a, EstimationResult):
         if a.converged != b.converged or a.n_iterations != b.n_iterations:
             return False
-        if (
-            np.float64(a.log_likelihood).tobytes()
-            != np.float64(b.log_likelihood).tobytes()
+        if not _bytes_equal(a.log_likelihood, b.log_likelihood):
+            return False
+        for ours, theirs, names in (
+            (a.parameters, b.parameters, ("a", "b", "f", "g", "z")),
+            (a.trace, b.trace, ("log_likelihoods", "parameter_deltas")),
         ):
-            return False
-        if (a.parameters is None) != (b.parameters is None):
-            return False
-        if a.parameters is not None:
-            for name in ("a", "b", "f", "g"):
-                if (
-                    getattr(a.parameters, name).tobytes()
-                    != getattr(b.parameters, name).tobytes()
-                ):
-                    return False
-            if (
-                np.float64(a.parameters.z).tobytes()
-                != np.float64(b.parameters.z).tobytes()
+            if (ours is None) != (theirs is None):
+                return False
+            if ours is not None and not all(
+                _bytes_equal(getattr(ours, name), getattr(theirs, name))
+                for name in names
             ):
                 return False
     return True

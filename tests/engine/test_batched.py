@@ -19,7 +19,7 @@ from repro import observability
 from repro.core import SourceParameters, fit_em_ext_batch
 from repro.core.em_ext import EMConfig, EMExtEstimator, _prepare_restarts
 from repro.core.likelihood import column_log_likelihoods
-from repro.engine import EMDriver, TelemetryRecorder
+from repro.engine import EMDriver
 from repro.engine.backends import DenseBackend, _check_rates_finite
 from repro.engine.batched import (
     _RATES_FAULT,
@@ -78,6 +78,9 @@ def _assert_results_bitwise(serial, batched, label=""):
     assert serial.n_iterations == batched.n_iterations, f"{label} iterations"
     assert serial.trace.log_likelihoods == batched.trace.log_likelihoods, (
         f"{label} trace"
+    )
+    assert serial.trace.parameter_deltas == batched.trace.parameter_deltas, (
+        f"{label} trace deltas"
     )
     assert serial.health.selected == batched.health.selected, f"{label} selection"
     assert [
@@ -243,34 +246,6 @@ class TestRunBatchedLanes:
         # The compaction path is only exercised when lanes actually
         # retire on different passes; 5 random starts guarantee it.
         assert len(iteration_counts) > 1
-
-    def test_collect_events_gating_is_numerics_neutral(self):
-        problem = _problem()
-        backend = DenseBackend(problem)
-        inits = _random_params(problem.n_sources, SEED, 3)
-
-        def run(collect_events):
-            return run_batched_lanes(
-                BatchedDenseBackend.from_backends([backend] * 3),
-                inits,
-                max_iterations=40,
-                tolerance=1e-6,
-                collect_events=collect_events,
-            )
-
-        with_events = run(True)
-        without = run(False)
-        for got, expected in zip(without, with_events):
-            assert got.events == []
-            assert expected.events, "collect_events=True must build events"
-            _assert_outcomes_bitwise(expected.outcome, got.outcome)
-            # Events carry the trace's numbers, in iteration order.
-            assert [e.log_likelihood for e in expected.events] == list(
-                expected.outcome.trace.log_likelihoods
-            )
-            assert [e.delta for e in expected.events] == list(
-                expected.outcome.trace.parameter_deltas
-            )
 
     def test_lane_count_mismatch_rejected(self):
         problem = _problem()
@@ -459,21 +434,6 @@ class TestRestartModeParity:
         counters = session.metrics.snapshot()["counters"]
         assert counters.get("engine.batched.lanes") == 3
 
-    def test_telemetry_stream_matches_serial(self):
-        problem = _problem()
-        config = dict(n_restarts=3, init_strategy="random")
-
-        def recorded(restart_mode):
-            recorder = TelemetryRecorder()
-            EMExtEstimator(
-                EMConfig(restart_mode=restart_mode, **config),
-                seed=SEED,
-                callbacks=(recorder,),
-            ).fit(problem)
-            return [(e.iteration, e.delta, e.log_likelihood) for e in recorder.events]
-
-        assert recorded("serial") == recorded("batched")
-
 
 class TestFitEmExtBatch:
     def test_each_result_matches_the_scalar_fit(self, same_column_problem):
@@ -486,25 +446,6 @@ class TestFitEmExtBatch:
         for problem, seed, result in zip(problems, seeds, batched):
             serial = EMExtEstimator(config, seed=seed).fit(problem)
             _assert_results_bitwise(serial, result)
-
-    def test_callbacks_replay_each_problems_stream(self):
-        problems = [_problem(seed=SEED + k) for k in range(2)]
-        seeds = [SEED, SEED + 1]
-        config = EMConfig(n_restarts=2, init_strategy="random")
-        recorder = TelemetryRecorder()
-        fit_em_ext_batch(
-            problems, seeds=seeds, config=config, callbacks=(recorder,)
-        )
-        serial_events = []
-        for problem, seed in zip(problems, seeds):
-            solo = TelemetryRecorder()
-            EMExtEstimator(config, seed=seed, callbacks=(solo,)).fit(problem)
-            serial_events.extend(
-                (e.iteration, e.delta, e.log_likelihood) for e in solo.events
-            )
-        assert [
-            (e.iteration, e.delta, e.log_likelihood) for e in recorder.events
-        ] == serial_events
 
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,11 +1,11 @@
-"""Unit tests for the generic EM driver (restarts, telemetry, early stop)."""
+"""Unit tests for the generic EM driver (convergence, restarts, selection)."""
 
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from repro.engine import EMDriver, IterationEvent, TelemetryRecorder
+from repro.engine import EMDriver
 
 
 @dataclass(frozen=True)
@@ -54,33 +54,6 @@ class TestRun:
         driver = EMDriver(max_iterations=50, tolerance=1e-6)
         outcome = driver.run(HalvingBackend(target=0.9), ScalarParams(0.0))
         assert outcome.decisions.tolist() == [1]
-
-
-class TestTelemetry:
-    def test_recorder_sees_every_iteration(self):
-        recorder = TelemetryRecorder()
-        driver = EMDriver(max_iterations=100, tolerance=1e-6, callbacks=(recorder,))
-        outcome = driver.run(HalvingBackend(), ScalarParams(0.0))
-        assert recorder.n_iterations == outcome.n_iterations
-        assert all(isinstance(e, IterationEvent) for e in recorder.events)
-        assert all(e.duration_seconds >= 0.0 for e in recorder.events)
-        # Deltas halve every iteration; the trace and events must agree.
-        deltas = [e.delta for e in recorder.events]
-        np.testing.assert_allclose(deltas, outcome.trace.parameter_deltas)
-        assert recorder.total_seconds >= 0.0
-        recorder.clear()
-        assert len(recorder) == 0
-
-    def test_early_stop_callback(self):
-        def stop_after_two(event: IterationEvent):
-            return event.iteration >= 1
-
-        driver = EMDriver(
-            max_iterations=100, tolerance=1e-12, callbacks=(stop_after_two,)
-        )
-        outcome = driver.run(HalvingBackend(), ScalarParams(0.0))
-        assert outcome.n_iterations == 2
-        assert not outcome.converged
 
 
 class TestFit:

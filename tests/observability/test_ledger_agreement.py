@@ -1,19 +1,22 @@
 """Ledgers and metrics counters must never disagree.
 
-The repo keeps three truthful records of what went wrong or was
-attempted: the harness failure ledger (summarised by
-:class:`~repro.eval.diagnostics.TelemetrySummary`), the cascade's
+The repo keeps four truthful records of what went wrong or was
+attempted: an EM fit's :class:`~repro.engine.health.RunHealth`, the
+harness failure ledger (digested by
+:meth:`~repro.eval.harness.SimulationResult.failure_counts`), the cascade's
 :class:`~repro.bounds.cascade.DegradationReport`, and the circuit
 breaker's snapshot.  Each is produced at the same code points that
 increment the corresponding metrics counters, so the two views must
 match *exactly* — these regressions pin that.
 """
 
+import pytest
+
 from repro import observability
+from repro.baselines import make_fact_finder
 from repro.bounds import bound_cascade
-from repro.engine import TelemetryRecorder
+from repro.core.em_ext import EMConfig, EMExtEstimator
 from repro.eval import run_simulation
-from repro.eval.diagnostics import summarize_telemetry
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
 from repro.resilience.supervisor import BreakerConfig, CircuitBreaker, Deadline
 from repro.synthetic import GeneratorConfig, empirical_parameters, generate_dataset
@@ -38,9 +41,40 @@ class _FlakySeedFinder:
         return make_fact_finder("em", seed=self._seed).fit(problem)
 
 
+class TestRunHealthAgreement:
+    """``em.iterations`` and ``em.restarts`` are the health report's totals."""
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda problem: EMExtEstimator(EMConfig(n_restarts=4), seed=3).fit(
+                problem
+            ),
+            lambda problem: EMExtEstimator(
+                EMConfig(n_restarts=4, restart_mode="batched"), seed=3
+            ).fit(problem),
+            lambda problem: EMExtEstimator(seed=3).fit(problem.csr_view()),
+            lambda problem: make_fact_finder("em", seed=3, n_restarts=2).fit(problem),
+            lambda problem: make_fact_finder("em-social", seed=3).fit(problem),
+        ],
+        ids=["em-ext-serial", "em-ext-lanes", "em-ext-csr", "em", "em-social"],
+    )
+    def test_iteration_counter_is_the_sum_over_restarts(self, fit):
+        problem = generate_dataset(
+            GeneratorConfig(n_sources=20, n_assertions=50), seed=4
+        ).problem.without_truth()
+        with observability.observe() as session:
+            result = fit(problem)
+        counters = session.metrics.snapshot()["counters"]
+        restarts = result.health.restarts
+        assert counters["em.iterations"] == sum(r.n_iterations for r in restarts) > 0
+        assert counters["em.restarts"] == len(restarts)
+        selected = restarts[result.health.selected]
+        assert selected.n_iterations == result.n_iterations
+
+
 class TestTelemetrySummaryAgreement:
     def test_retry_and_skip_counts_match_counters(self):
-        recorder = TelemetryRecorder()
         with temporary_algorithm(_FlakySeedFinder):
             with observability.observe() as session:
                 result = run_simulation(
@@ -49,24 +83,20 @@ class TestTelemetrySummaryAgreement:
                     n_trials=6,
                     seed=8,
                     include_optimal=False,
-                    telemetry=recorder,
                     failure_policy=FailurePolicy.retry(max_attempts=2),
                 )
-        summary = summarize_telemetry(recorder.events, result.failures)
+        counts = result.failure_counts()
         counters = session.metrics.snapshot()["counters"]
-        # The run must actually exercise both actions.
-        assert summary.n_retried > 0
-        assert summary.n_skipped > 0
-        assert counters["harness.failures.retried"] == summary.n_retried
-        assert counters["harness.failures.skipped"] == summary.n_skipped
-        assert (
-            summary.n_trial_failures
-            == summary.n_retried + summary.n_skipped
-        )
-        # The counter sees every EM loop in the process (including the
-        # chaos finder's internal delegate fits, which carry no
-        # telemetry callback), so it can only be >= the recorder's view.
-        assert counters["em.iterations"] >= summary.n_iterations
+        # Only the flaky finder fails, and the run must exercise both
+        # actions.
+        assert set(counts) == {_FlakySeedFinder.algorithm_name}
+        flaky = counts[_FlakySeedFinder.algorithm_name]
+        assert flaky.get("retried", 0) > 0
+        assert flaky.get("skipped", 0) > 0
+        assert counters["harness.failures.retried"] == flaky["retried"]
+        assert counters["harness.failures.skipped"] == flaky["skipped"]
+        assert len(result.failures) == flaky["retried"] + flaky["skipped"]
+        assert counters["em.iterations"] > 0
         assert counters["harness.trials"] == 6
 
 

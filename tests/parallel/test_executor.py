@@ -8,11 +8,8 @@ from repro.parallel import (
     ParallelConfig,
     WorkerTimeoutError,
     cpu_count,
-    merge_counters,
-    merge_ledgers,
     parallel_imap,
     parallel_map,
-    replay_events,
 )
 from repro.utils.errors import ValidationError
 
@@ -116,22 +113,3 @@ class TestParallelMap:
         from repro.utils.errors import ReproError
 
         assert issubclass(WorkerTimeoutError, ReproError)
-
-
-class TestMergeHelpers:
-    def test_merge_ledgers_preserves_order(self):
-        assert merge_ledgers([[1, 2], [], [3]]) == [1, 2, 3]
-
-    def test_merge_counters_sums_keys(self):
-        merged = merge_counters([{"a": 1, "b": 2}, {"b": 3, "c": 1}])
-        assert merged == {"a": 1, "b": 5, "c": 1}
-
-    def test_replay_events_skips_none_and_ignores_returns(self):
-        seen = []
-
-        def callback(event):
-            seen.append(event)
-            return True  # an early-stop request must be ignored on replay
-
-        replay_events([1, 2, 3], (None, callback))
-        assert seen == [1, 2, 3]

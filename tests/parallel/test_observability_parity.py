@@ -2,10 +2,10 @@
 
 Workers run their own observability session and ship spans + metric
 snapshots back with each result; the parent grafts and merges them in
-task order — the same replay discipline as telemetry events.  These
-tests hold the line: for every parallel entry point, the merged
-counters equal a serial run's counters exactly, and the span trees
-carry the same names in the same trial order.
+task order.  These tests hold the line: for every parallel entry point,
+and for batched trial packs, the merged counters equal a serial run's
+counters exactly, and the span trees carry the same names in the same
+trial order.
 """
 
 import multiprocessing
@@ -78,6 +78,34 @@ class TestHarnessObservabilityParity:
         )
         for root in (serial_root, pooled_root, inproc_root):
             assert validate_span_tree(root) == []
+
+    def test_batched_trial_packs_count_what_serial_counts(self):
+        """Lane packs count every EM iteration and restart a serial run does.
+
+        Only the packs' own ``engine.batched.*`` and ``harness.batched.*``
+        counters are extra.
+        """
+        kwargs = dict(
+            algorithms=("em", "em-ext"),
+            n_trials=4,
+            seed=123,
+            include_optimal=True,
+        )
+        _, serial_counters, _ = _observed_run(
+            lambda: run_simulation(CONFIG, **kwargs)
+        )
+        _, batched_counters, batched_root = _observed_run(
+            lambda: run_simulation(CONFIG, trial_mode="batched", **kwargs)
+        )
+        assert batched_counters["harness.batched.prefit_hits"] == 4
+        shared = {
+            name: value
+            for name, value in batched_counters.items()
+            if not name.startswith(("engine.batched.", "harness.batched."))
+        }
+        assert shared == serial_counters
+        assert serial_counters["em.iterations"] > 0
+        assert validate_span_tree(batched_root) == []
 
     def test_disabled_parent_means_no_worker_collection(self):
         # No session in the parent -> the spec ships collect=False and

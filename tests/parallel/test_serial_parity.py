@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro.baselines import make_fact_finder
-from repro.engine import TelemetryRecorder
 from repro.eval import run_simulation
 from repro.parallel import ParallelConfig
 from repro.resilience import FailurePolicy, InjectedFault, temporary_algorithm
@@ -50,11 +49,6 @@ def _ledger(result):
     ]
 
 
-def _event_keys(recorder):
-    """Telemetry events minus wall-clock durations (which may not match)."""
-    return [(e.iteration, e.delta, e.log_likelihood) for e in recorder.events]
-
-
 class TestHarnessParity:
     def test_run_simulation_identical_for_any_worker_count(self):
         kwargs = dict(
@@ -63,27 +57,15 @@ class TestHarnessParity:
             seed=123,
             include_optimal=True,
         )
-        recorders = [TelemetryRecorder() for _ in range(3)]
-        serial = run_simulation(CONFIG, telemetry=recorders[0], **kwargs)
+        serial = run_simulation(CONFIG, **kwargs)
         pooled = run_simulation(
-            CONFIG,
-            telemetry=recorders[1],
-            parallel=ParallelConfig(n_jobs=N_JOBS),
-            **kwargs,
+            CONFIG, parallel=ParallelConfig(n_jobs=N_JOBS), **kwargs
         )
         in_process = run_simulation(
-            CONFIG,
-            telemetry=recorders[2],
-            parallel=ParallelConfig.serial(),
-            **kwargs,
+            CONFIG, parallel=ParallelConfig.serial(), **kwargs
         )
         assert _series_dict(serial) == _series_dict(pooled) == _series_dict(in_process)
-        assert serial.failures == pooled.failures == []
-        # Worker telemetry is replayed into the parent's recorder in
-        # trial order — same events as a live serial run.
-        assert _event_keys(recorders[0]) == _event_keys(recorders[1])
-        assert _event_keys(recorders[0]) == _event_keys(recorders[2])
-        assert len(recorders[0]) > 0
+        assert serial.failures == pooled.failures == in_process.failures == []
 
     def test_chunked_dispatch_is_still_identical(self):
         kwargs = dict(

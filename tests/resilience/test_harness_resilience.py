@@ -1,11 +1,10 @@
-"""Trial isolation in the simulation harness: policies, ledger, telemetry."""
+"""Trial isolation in the simulation harness: policies, ledger, breakers."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import make_fact_finder
-from repro.engine import TelemetryRecorder
-from repro.eval import run_simulation, summarize_telemetry
+from repro.eval import run_simulation
 from repro.parallel import ParallelConfig
 from repro.resilience import (
     BreakerConfig,
@@ -136,41 +135,6 @@ class TestDeterminismUnderFaults:
         assert retry_seed(1234, 1) == retry_seed(1234, 1)
         assert retry_seed(1234, 1) != retry_seed(1234, 2)
         assert retry_seed(1234, 1) != retry_seed(1235, 1)
-
-
-class TestTelemetryFailureCounts:
-    def test_summary_folds_in_the_ledger(self):
-        recorder = TelemetryRecorder()
-        with temporary_algorithm(_chaos(fail_fits=(1,))) as name:
-            result = run_simulation(
-                CONFIG,
-                algorithms=("em", name),
-                n_trials=3,
-                seed=42,
-                include_optimal=False,
-                telemetry=recorder,
-                failure_policy=FailurePolicy.skip(),
-            )
-        summary = summarize_telemetry(recorder.events, failures=result.failures)
-        assert summary.n_trial_failures == 1
-        assert summary.n_skipped == 1
-        assert summary.n_retried == 0
-        assert summary.n_iterations == len(recorder.events) > 0
-
-    def test_summary_defaults_to_zero_counts(self):
-        recorder = TelemetryRecorder()
-        run_simulation(
-            CONFIG,
-            algorithms=("em",),
-            n_trials=1,
-            seed=1,
-            include_optimal=False,
-            telemetry=recorder,
-        )
-        summary = summarize_telemetry(recorder.events)
-        assert summary.n_trial_failures == 0
-        assert summary.n_retried == 0
-        assert summary.n_skipped == 0
 
 
 class TestNonFiniteScoresArePolicyFailures:

@@ -1,5 +1,6 @@
 """Trace round-trip and replay-harness tests."""
 
+import copy
 import json
 
 import numpy as np
@@ -181,3 +182,47 @@ class TestBitwiseComparator:
         assert results_bitwise_equal(base, same)
         assert not results_bitwise_equal(base, other)
         assert not results_bitwise_equal(base, heuristic)
+
+    @pytest.fixture
+    def problem(self):
+        return generate_dataset(
+            GeneratorConfig(**SMALL), seed=7
+        ).problem.without_truth()
+
+    @pytest.mark.parametrize("field", ["log_likelihoods", "parameter_deltas"])
+    @pytest.mark.parametrize("entry", [0, -1])
+    def test_one_trace_entry_breaks_equality(self, problem, field, entry):
+        base = fit_request(
+            EstimationRequest(
+                "a", problem, seed=1, config=EMConfig(init_strategy="random")
+            )
+        )
+        twin = copy.deepcopy(base)
+        assert results_bitwise_equal(base, twin)
+        values = getattr(twin.trace, field)
+        values[entry] = float(np.nextafter(values[entry], np.inf))
+        assert not results_bitwise_equal(base, twin)
+
+    @pytest.mark.parametrize("algorithm", ["em", "em-social"])
+    @pytest.mark.parametrize("rate", ["t", "b"])
+    def test_one_extras_rate_breaks_equality(self, problem, algorithm, rate):
+        # EM and EM-Social carry no `parameters`; their fitted rates
+        # live in `extras`, so only the extras comparison can see them.
+        base = fit_request(
+            EstimationRequest("a", problem, algorithm=algorithm, seed=1)
+        )
+        assert base.parameters is None
+        twin = copy.deepcopy(base)
+        assert results_bitwise_equal(base, twin)
+        rates = twin.extras[rate]
+        rates[0] = np.nextafter(rates[0], np.inf)
+        assert not results_bitwise_equal(base, twin)
+
+    def test_extras_keys_and_z_break_equality(self, problem):
+        base = fit_request(EstimationRequest("a", problem, algorithm="em", seed=1))
+        missing = copy.deepcopy(base)
+        del missing.extras["z"]
+        assert not results_bitwise_equal(base, missing)
+        shifted = copy.deepcopy(base)
+        shifted.extras["z"] = float(np.nextafter(base.extras["z"], np.inf))
+        assert not results_bitwise_equal(base, shifted)
